@@ -904,71 +904,66 @@ fn e15_memory(profile: Profile) -> Vec<BenchRecord> {
 
     // Per-snapshot footprint under the E12 workload shape: one sequential
     // server, the standard query/update mix, then the published snapshot's
-    // retained bytes (index arenas + handle table + filled caches) — the
+    // retained bytes (index arenas + handle table + handle arenas) — the
     // number serve-side retention budgeting multiplies by snapshot count.
     let (serve_n, queries_total, rounds, updates) = match profile {
         Profile::Smoke => (200usize, 2_000usize, 4usize, 4usize),
         Profile::Full => (400, 8_000, 8, 8),
     };
     let ds = sweep_dataset(serve_n, Distribution::Independent);
-    for (family, cache_slots) in [
-        ("serve/snapshot-cached", 4096usize),
-        ("serve/snapshot-uncached", 0),
-    ] {
-        telemetry::reset_metrics();
-        let before = mem::stats();
-        let start_ns = telemetry::now_ns();
-        let options = ServerOptions {
-            with_global: true,
-            cache_slots,
-            parallel: ParallelConfig::sequential(),
-            ..ServerOptions::default()
-        };
-        let (server, handles) = SkylineServer::with_dataset(&ds, options);
-        let spec = WorkloadSpec {
-            readers: 0,
-            rounds,
-            queries_per_reader: queries_total / rounds,
-            updates_per_round: updates,
-            domain: 10 * serve_n as i64,
-            seed: skyline_bench::BASE_SEED,
-            mix: QueryMix::default(),
-        };
-        let report = skyline_serve::workload::run(&server, &spec, &handles);
-        let elapsed_ms = telemetry::ms_since(start_ns);
-        let after = mem::stats();
-        let snapshot_bytes = server.reader().snapshot().heap_bytes();
-        let peak_delta = after.peak_bytes.saturating_sub(before.live_bytes);
-        println!(
-            "| {family} | {serve_n} | 0 | {peak_delta} | {} | {snapshot_bytes} | - | - |",
-            after.alloc_bytes,
-        );
-        let mut metrics = vec![
-            ("mem.peak_bytes".to_string(), peak_delta),
-            ("mem.alloc_bytes".to_string(), after.alloc_bytes),
-            ("mem.allocs".to_string(), after.allocs),
-            ("mem.snapshot_bytes".to_string(), snapshot_bytes as u64),
-            ("workload.checksum".to_string(), report.checksum),
-        ];
-        for (i, row) in mem::phase_stats().into_iter().enumerate() {
-            if row.alloc_bytes > 0 {
-                metrics.push((mem::PHASE_METRIC_NAMES[i].0.to_string(), row.alloc_bytes));
-            }
+    let family = "serve/snapshot";
+    telemetry::reset_metrics();
+    let before = mem::stats();
+    let start_ns = telemetry::now_ns();
+    let options = ServerOptions {
+        with_global: true,
+        parallel: ParallelConfig::sequential(),
+        ..ServerOptions::default()
+    };
+    let (server, handles) = SkylineServer::with_dataset(&ds, options);
+    let spec = WorkloadSpec {
+        readers: 0,
+        rounds,
+        queries_per_reader: queries_total / rounds,
+        updates_per_round: updates,
+        domain: 10 * serve_n as i64,
+        seed: skyline_bench::BASE_SEED,
+        mix: QueryMix::default(),
+    };
+    let report = skyline_serve::workload::run(&server, &spec, &handles);
+    let elapsed_ms = telemetry::ms_since(start_ns);
+    let after = mem::stats();
+    let snapshot_bytes = server.reader().snapshot().heap_bytes();
+    let peak_delta = after.peak_bytes.saturating_sub(before.live_bytes);
+    println!(
+        "| {family} | {serve_n} | 0 | {peak_delta} | {} | {snapshot_bytes} | - | - |",
+        after.alloc_bytes,
+    );
+    let mut metrics = vec![
+        ("mem.peak_bytes".to_string(), peak_delta),
+        ("mem.alloc_bytes".to_string(), after.alloc_bytes),
+        ("mem.allocs".to_string(), after.allocs),
+        ("mem.snapshot_bytes".to_string(), snapshot_bytes as u64),
+        ("workload.checksum".to_string(), report.checksum),
+    ];
+    for (i, row) in mem::phase_stats().into_iter().enumerate() {
+        if row.alloc_bytes > 0 {
+            metrics.push((mem::PHASE_METRIC_NAMES[i].0.to_string(), row.alloc_bytes));
         }
-        records.push(BenchRecord {
-            experiment: "e15".to_string(),
-            algorithm: family.to_string(),
-            n: serve_n,
-            s: 10 * serve_n as i64,
-            d: 2,
-            distribution: Distribution::Independent.name().to_string(),
-            threads: 0,
-            reps: 1,
-            min_ms: elapsed_ms,
-            median_ms: elapsed_ms,
-            metrics,
-        });
     }
+    records.push(BenchRecord {
+        experiment: "e15".to_string(),
+        algorithm: family.to_string(),
+        n: serve_n,
+        s: 10 * serve_n as i64,
+        d: 2,
+        distribution: Distribution::Independent.name().to_string(),
+        threads: 0,
+        reps: 1,
+        min_ms: elapsed_ms,
+        median_ms: elapsed_ms,
+        metrics,
+    });
     println!();
     records
 }
@@ -1111,7 +1106,6 @@ fn e13_open_loop(profile: Profile, capture_telemetry: bool) -> Vec<BenchRecord> 
             for _ in 0..reps {
                 let options = ServerOptions {
                     with_global: true,
-                    cache_slots: 4096,
                     parallel: ParallelConfig::sequential(),
                     ..ServerOptions::default()
                 };
@@ -1415,75 +1409,73 @@ fn e12_serving_throughput(profile: Profile, capture_telemetry: bool) -> Vec<Benc
             Profile::Full => "full",
         }
     );
-    println!("| algorithm | r=0 (inline) | r=1 | r=2 | r=4 | q/s (r=4) | cache hit rate (r=4) |");
+    println!("| algorithm | r=0 (inline) | r=1 | r=2 | r=4 | q/s (r=4) | arena hit rate (r=4) |");
     println!("|---|---|---|---|---|---|---|");
 
     let ds = sweep_dataset(n, Distribution::Independent);
     let mut records = Vec::new();
-    for (algorithm, cache_slots) in [("serve/cached", 4096usize), ("serve/uncached", 0)] {
-        let mut row = format!("| {algorithm} |");
-        let mut last_qps = 0.0;
-        let mut last_hit_rate = None;
-        for readers in readers_sweep {
-            let spec = WorkloadSpec {
-                readers,
-                rounds,
-                queries_per_reader: queries_total / (rounds * readers.max(1)),
-                updates_per_round: updates,
-                domain: 10 * n as i64,
-                seed: skyline_bench::BASE_SEED,
-                mix: QueryMix::default(),
-            };
-            if capture_telemetry {
-                telemetry::reset_metrics();
-            }
-            let mut elapsed: Vec<f64> = Vec::with_capacity(reps);
-            for _ in 0..reps {
-                let options = ServerOptions {
-                    with_global: true,
-                    cache_slots,
-                    parallel: ParallelConfig::sequential(),
-                    ..ServerOptions::default()
-                };
-                let (server, handles) = SkylineServer::with_dataset(&ds, options);
-                let report = skyline_serve::workload::run(&server, &spec, &handles);
-                elapsed.push(report.elapsed_ms);
-                if readers == 4 {
-                    last_qps = report.queries_per_sec();
-                    let cache = report.cache;
-                    last_hit_rate =
-                        (cache.lookups() > 0).then(|| cache.hits as f64 / cache.lookups() as f64);
-                }
-            }
-            elapsed.sort_by(|a, b| a.total_cmp(b));
-            let min_ms = elapsed[0];
-            let median_ms = elapsed[elapsed.len() / 2];
-            let metrics = if capture_telemetry {
-                metric_pairs()
-            } else {
-                Vec::new()
-            };
-            row.push_str(&format!(" {} |", fmt_ms(min_ms)));
-            records.push(BenchRecord {
-                experiment: "e12".to_string(),
-                algorithm: algorithm.to_string(),
-                n,
-                s: 10 * n as i64,
-                d: 2,
-                distribution: Distribution::Independent.name().to_string(),
-                threads: readers,
-                reps,
-                min_ms,
-                median_ms,
-                metrics,
-            });
+    let algorithm = "serve";
+    let mut row = format!("| {algorithm} |");
+    let mut last_qps = 0.0;
+    let mut last_hit_rate = None;
+    for readers in readers_sweep {
+        let spec = WorkloadSpec {
+            readers,
+            rounds,
+            queries_per_reader: queries_total / (rounds * readers.max(1)),
+            updates_per_round: updates,
+            domain: 10 * n as i64,
+            seed: skyline_bench::BASE_SEED,
+            mix: QueryMix::default(),
+        };
+        if capture_telemetry {
+            telemetry::reset_metrics();
         }
-        row.push_str(&match last_hit_rate {
-            Some(rate) => format!(" {last_qps:.0} | {:.1}% |", 100.0 * rate),
-            None => format!(" {last_qps:.0} | — |"),
+        let mut elapsed: Vec<f64> = Vec::with_capacity(reps);
+        for _ in 0..reps {
+            let options = ServerOptions {
+                with_global: true,
+                parallel: ParallelConfig::sequential(),
+                ..ServerOptions::default()
+            };
+            let (server, handles) = SkylineServer::with_dataset(&ds, options);
+            let report = skyline_serve::workload::run(&server, &spec, &handles);
+            elapsed.push(report.elapsed_ms);
+            if readers == 4 {
+                last_qps = report.queries_per_sec();
+                let arena = report.cache;
+                last_hit_rate =
+                    (arena.lookups() > 0).then(|| arena.hits as f64 / arena.lookups() as f64);
+            }
+        }
+        elapsed.sort_by(|a, b| a.total_cmp(b));
+        let min_ms = elapsed[0];
+        let median_ms = elapsed[elapsed.len() / 2];
+        let metrics = if capture_telemetry {
+            metric_pairs()
+        } else {
+            Vec::new()
+        };
+        row.push_str(&format!(" {} |", fmt_ms(min_ms)));
+        records.push(BenchRecord {
+            experiment: "e12".to_string(),
+            algorithm: algorithm.to_string(),
+            n,
+            s: 10 * n as i64,
+            d: 2,
+            distribution: Distribution::Independent.name().to_string(),
+            threads: readers,
+            reps,
+            min_ms,
+            median_ms,
+            metrics,
         });
-        println!("{row}");
     }
+    row.push_str(&match last_hit_rate {
+        Some(rate) => format!(" {last_qps:.0} | {:.1}% |", 100.0 * rate),
+        None => format!(" {last_qps:.0} | — |"),
+    });
+    println!("{row}");
     println!();
     records
 }

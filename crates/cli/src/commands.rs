@@ -500,7 +500,7 @@ fn parse_stall(text: &str) -> Result<(u64, u64), CliError> {
 
 /// `skydiag trace serve-bench --out trace.json [--n N | --data ...]
 /// [--readers R] [--rounds K] [--queries Q] [--updates U] [--seed S]
-/// [--cache SLOTS] [--global 0|1] [--engine ...] [--metrics m.json]
+/// [--global 0|1] [--engine ...] [--metrics m.json]
 /// [--stall NTH,MS [--anomaly dump.json]]`
 ///
 /// `--stall NTH,MS` wedges the NTH refresh barrier for MS milliseconds
@@ -516,7 +516,6 @@ fn cmd_trace_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliErro
     let queries = args.get_usize("queries", 50)?;
     let updates = args.get_usize("updates", 8)?;
     let seed = args.get_i64("seed", 1)? as u64;
-    let cache_slots = args.get_usize("cache", 1024)?;
     let with_global = args.get_usize("global", 1)? != 0;
     let out_path = args.require("out")?.to_string();
     let metrics_path = args.get("metrics").map(str::to_string);
@@ -543,7 +542,6 @@ fn cmd_trace_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliErro
     let options = skyline_serve::ServerOptions {
         engine,
         with_global,
-        cache_slots,
         injected_stall,
         ..skyline_serve::ServerOptions::default()
     };
@@ -609,15 +607,14 @@ fn cmd_trace_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliErro
 }
 
 /// `skydiag serve-bench <data.csv|hotel> [--readers R] [--rounds K]
-/// [--queries Q] [--updates U] [--seed S] [--cache SLOTS] [--global 0|1]
-/// [--engine ...]`
+/// [--queries Q] [--updates U] [--seed S] [--global 0|1] [--engine ...]`
 ///
 /// Closed-loop serving benchmark: loads the dataset into a
 /// [`skyline_serve::SkylineServer`], then drives `rounds` rounds of
 /// `updates` writer updates (fenced by a refresh barrier) followed by
 /// `readers × queries` concurrent reader queries on the scoped pool.
 /// The printed checksum is deterministic for a given spec and dataset —
-/// identical across thread counts and cache settings.
+/// identical across thread counts and handle-arena warmth.
 pub fn cmd_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.positional(0, "input csv path (or 'hotel')")?;
     let dataset = load_dataset(input)?;
@@ -627,7 +624,6 @@ pub fn cmd_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError>
     let queries = args.get_usize("queries", 250)?;
     let updates = args.get_usize("updates", 0)?;
     let seed = args.get_i64("seed", 1)? as u64;
-    let cache_slots = args.get_usize("cache", 4096)?;
     let with_global = args.get_usize("global", 1)? != 0;
     args.reject_unknown()?;
 
@@ -641,7 +637,6 @@ pub fn cmd_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError>
     let options = skyline_serve::ServerOptions {
         engine,
         with_global,
-        cache_slots,
         ..skyline_serve::ServerOptions::default()
     };
     let (server, handles) = skyline_serve::SkylineServer::with_dataset(&dataset, options);
@@ -659,7 +654,7 @@ pub fn cmd_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError>
     writeln!(
         out,
         "serve-bench: n={} readers={readers} rounds={rounds} queries/reader/round={queries} \
-         updates/round={updates} cache={cache_slots} global={with_global}",
+         updates/round={updates} global={with_global}",
         dataset.len(),
     )?;
     writeln!(out, "queries:     {}", report.queries)?;
@@ -671,18 +666,12 @@ pub fn cmd_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError>
         "throughput:  {:.0} queries/s",
         report.queries_per_sec()
     )?;
-    let cache = report.cache;
-    if cache.lookups() > 0 {
-        writeln!(
-            out,
-            "cache:       {} hits / {} misses ({:.1}% hit rate, final epoch)",
-            cache.hits,
-            cache.misses,
-            100.0 * cache.hits as f64 / cache.lookups() as f64
-        )?;
-    } else {
-        writeln!(out, "cache:       disabled")?;
-    }
+    let arena = report.cache;
+    writeln!(
+        out,
+        "arena:       {} hits / {} fills (final epoch)",
+        arena.hits, arena.misses
+    )?;
     writeln!(out, "checksum:    {:#018x}", report.checksum)?;
     Ok(())
 }
@@ -704,15 +693,6 @@ fn metrics_counter(json: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Value of a named counter in a metrics snapshot (0 when absent — the
-/// telemetry-off build has an empty registry).
-fn counter_value(snap: &skyline_core::telemetry::MetricsSnapshot, name: &str) -> u64 {
-    snap.counters
-        .iter()
-        .find(|c| c.name == name)
-        .map_or(0, |c| c.value)
-}
-
 /// Dense per-bucket counts of a named histogram in a snapshot.
 fn histogram_buckets(snap: &skyline_core::telemetry::MetricsSnapshot, name: &str) -> Vec<u64> {
     let mut dense = vec![0u64; skyline_core::telemetry::HISTOGRAM_BUCKETS];
@@ -727,12 +707,12 @@ fn histogram_buckets(snap: &skyline_core::telemetry::MetricsSnapshot, name: &str
 }
 
 /// `skydiag top [--ticks T] [--interval-ms MS] [--n N | --data ...]
-/// [--readers R] [--queries Q] [--updates U] [--seed S] [--cache SLOTS]
-/// [--global 0|1] [--engine ...]`
+/// [--readers R] [--queries Q] [--updates U] [--seed S] [--global 0|1]
+/// [--engine ...]`
 ///
 /// Interval-sampled serving monitor: builds one server, then runs `ticks`
 /// workload slices against it and prints the metrics-registry *deltas* per
-/// tick — query rate, epoch publications, cache hit ratio, and a bucket
+/// tick — query rate, epoch publications, handle-arena hits and fills, and a bucket
 /// sparkline per histogram that moved. With `--interval-ms` the tick
 /// starts are paced on a fixed schedule through the telemetry clock
 /// ([`skyline_core::telemetry::spin_until`]), open-loop style; the default
@@ -747,7 +727,6 @@ pub fn cmd_top(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let queries = args.get_usize("queries", 200)?;
     let updates = args.get_usize("updates", 4)?;
     let seed = args.get_i64("seed", 1)? as u64;
-    let cache_slots = args.get_usize("cache", 4096)?;
     let with_global = args.get_usize("global", 1)? != 0;
     let dataset = trace_dataset(args, 200)?;
     args.reject_unknown()?;
@@ -762,7 +741,6 @@ pub fn cmd_top(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let options = skyline_serve::ServerOptions {
         engine,
         with_global,
-        cache_slots,
         ..skyline_serve::ServerOptions::default()
     };
     let (server, handles) = skyline_serve::SkylineServer::with_dataset(&dataset, options);
@@ -775,6 +753,9 @@ pub fn cmd_top(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let mut prev = telemetry::metrics_snapshot();
     let mut prev_mem = telemetry::mem::stats();
+    // The last tick's epoch and its snapshot's arena counters: ticks that
+    // publish nothing keep reading one snapshot, whose counters accumulate.
+    let mut prev_arena: Option<(u64, skyline_serve::CacheStats)> = None;
     let origin_ns = telemetry::now_ns();
     for tick in 0..ticks {
         telemetry::spin_until(origin_ns + tick as u64 * interval_ms * 1_000_000);
@@ -785,7 +766,7 @@ pub fn cmd_top(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             updates_per_round: updates,
             domain,
             // A fresh seed per tick keeps the query stream moving instead
-            // of replaying tick 1 into a fully warmed cache.
+            // of replaying tick 1 into fully warmed arenas.
             seed: seed.wrapping_add(tick as u64),
             mix: skyline_serve::QueryMix::default(),
         };
@@ -795,23 +776,27 @@ pub fn cmd_top(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let snap = telemetry::metrics_snapshot();
         let mem_now = telemetry::mem::stats();
 
-        let hits =
-            counter_value(&snap, "serve.cache.hit") - counter_value(&prev, "serve.cache.hit");
-        let misses =
-            counter_value(&snap, "serve.cache.miss") - counter_value(&prev, "serve.cache.miss");
-        let hit_cell = if hits + misses > 0 {
-            format!("{:.1}%", 100.0 * hits as f64 / (hits + misses) as f64)
-        } else {
-            "—".to_string()
+        // Per-tick arena hits/fills from the tick report's snapshot
+        // counters, saturating like the allocator columns.
+        let epoch = server.epoch();
+        let arena = match prev_arena {
+            Some((e, before)) if e == epoch => skyline_serve::CacheStats {
+                hits: report.cache.hits.saturating_sub(before.hits),
+                misses: report.cache.misses.saturating_sub(before.misses),
+            },
+            _ => report.cache,
         };
+        prev_arena = Some((epoch, report.cache));
         writeln!(
             out,
-            "tick {}/{ticks}: {} queries in {wall_ms:.1} ms ({:.0} q/s) | epochs {} | cache {hit_cell} \
-             | live {} | peak {} | +{} allocs",
+            "tick {}/{ticks}: {} queries in {wall_ms:.1} ms ({:.0} q/s) | epochs {} \
+             | arena +{} hits +{} fills | live {} | peak {} | +{} allocs",
             tick + 1,
             report.queries,
             report.queries as f64 * 1_000.0 / wall_ms,
             report.epochs_published,
+            arena.hits,
+            arena.misses,
             human_bytes(mem_now.live_bytes as usize),
             human_bytes(mem_now.peak_bytes as usize),
             mem_now.allocs.saturating_sub(prev_mem.allocs),
@@ -896,7 +881,7 @@ pub fn cmd_save(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `skydiag load <in.skd> [--at X,Y] [--cache SLOTS]`
+/// `skydiag load <in.skd> [--at X,Y]`
 ///
 /// Cold-starts a [`skyline_serve::SkylineServer`] from a snapshot container
 /// written by `skydiag save` — every section is checksum-validated and
@@ -908,16 +893,14 @@ pub fn cmd_load(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     let path = args.positional(0, "input container path (in.skd)")?;
     let at = args.get("at").map(str::to_string);
-    let cache_slots = args.get_usize("cache", 4096)?;
     let bytes = std::fs::read(path)?;
     args.reject_unknown()?;
 
-    let options = skyline_serve::ServerOptions {
-        cache_slots,
-        ..skyline_serve::ServerOptions::default()
-    };
     let start_ns = telemetry::now_ns();
-    let (server, _handles) = skyline_serve::SkylineServer::from_container(&bytes, options)?;
+    let (server, _handles) = skyline_serve::SkylineServer::from_container(
+        &bytes,
+        skyline_serve::ServerOptions::default(),
+    )?;
     let cold_ms = telemetry::ms_since(start_ns);
 
     let mut reader = server.reader();
@@ -1086,8 +1069,7 @@ fn cmd_mem_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `skydiag mem serve-bench [--n N | --data ...] [--readers R] [--rounds K]
-/// [--queries Q] [--updates U] [--seed S] [--cache SLOTS] [--global 0|1]
-/// [--engine ...]`
+/// [--queries Q] [--updates U] [--seed S] [--global 0|1] [--engine ...]`
 fn cmd_mem_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     use skyline_core::telemetry;
 
@@ -1097,7 +1079,6 @@ fn cmd_mem_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError>
     let queries = args.get_usize("queries", 50)?;
     let updates = args.get_usize("updates", 8)?;
     let seed = args.get_i64("seed", 1)? as u64;
-    let cache_slots = args.get_usize("cache", 4096)?;
     let with_global = args.get_usize("global", 1)? != 0;
     let dataset = trace_dataset(args, 200)?;
     args.reject_unknown()?;
@@ -1112,7 +1093,6 @@ fn cmd_mem_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError>
     let options = skyline_serve::ServerOptions {
         engine,
         with_global,
-        cache_slots,
         ..skyline_serve::ServerOptions::default()
     };
     let spec = skyline_serve::WorkloadSpec {
@@ -1145,7 +1125,7 @@ fn cmd_mem_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError>
     writeln!(
         out,
         "snapshot:    {} retained by the published epoch (index arenas, \
-         handle table, filled caches)",
+         handle table, handle arenas)",
         human_bytes(server.reader().snapshot().heap_bytes()),
     )?;
     Ok(())
@@ -1177,7 +1157,7 @@ USAGE:
                  [--data data.csv|hotel] [--engine ...] [--kind quadrant|global|dynamic]
                  [--threads T] [--metrics metrics.json]
   skydiag trace  serve-bench --out trace.json [--n N | --data ...] [--readers R]
-                 [--rounds K] [--queries Q] [--updates U] [--seed S] [--cache SLOTS]
+                 [--rounds K] [--queries Q] [--updates U] [--seed S]
                  [--global 0|1] [--engine ...] [--metrics metrics.json]
                  [--stall NTH,MS [--anomaly dump.json]]
                  (--stall wedges the NTH refresh for MS ms; --anomaly arms the
@@ -1189,10 +1169,9 @@ USAGE:
                  --mem joins the allocator counters and can re-label the
                  verdict alloc-churn when transient allocations dominate)
   skydiag serve-bench <data.csv|hotel> [--readers R] [--rounds K] [--queries Q]
-                 [--updates U] [--seed S] [--cache SLOTS] [--global 0|1] [--engine ...]
+                 [--updates U] [--seed S] [--global 0|1] [--engine ...]
   skydiag top    [--ticks T] [--interval-ms MS] [--n N | --data ...] [--readers R]
-                 [--queries Q] [--updates U] [--seed S] [--cache SLOTS]
-                 [--global 0|1] [--engine ...]
+                 [--queries Q] [--updates U] [--seed S] [--global 0|1] [--engine ...]
                  (interval-sampled serving monitor: per-tick metric deltas,
                  live/peak heap bytes and allocation counts from the counting
                  allocator, with histogram-bucket sparklines — the
@@ -1200,14 +1179,13 @@ USAGE:
   skydiag mem    build [--n N | --data ...] [--dist ...] [--domain S] [--seed K]
                  [--engine ...] [--global 0|1] [--dynamic 0|1] [--threads T]
   skydiag mem    serve-bench [--n N | --data ...] [--readers R] [--rounds K]
-                 [--queries Q] [--updates U] [--seed S] [--cache SLOTS]
-                 [--global 0|1] [--engine ...]
+                 [--queries Q] [--updates U] [--seed S] [--global 0|1] [--engine ...]
                  (memory observatory: allocator totals, per-phase allocation
                  attribution, retained arena breakdown, container sections)
   skydiag save   <out.skd> [--n N | --data data.csv|hotel] [--dist ...] [--domain S]
                  [--seed K] [--engine ...] [--global 0|1] [--dynamic 0|1]
                  (build an index and write it as a versioned snapshot container)
-  skydiag load   <in.skd> [--at X,Y] [--cache SLOTS]
+  skydiag load   <in.skd> [--at X,Y]
                  (cold-start a server from a container — checksum-validated,
                  no diagram rebuild; --at also answers all three families)
 
@@ -1227,6 +1205,16 @@ mod tests {
         let mut out = Vec::new();
         cmd(&args, &mut out)?;
         Ok(String::from_utf8(out).expect("utf8 output"))
+    }
+
+    /// The metrics registry, recording sessions and allocator counters are
+    /// process-global, and `trace`/`mem` reset them. Every test that resets
+    /// them or asserts on their deltas holds this lock, so a concurrently
+    /// running test cannot zero the counters between its two readings.
+    fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
@@ -1366,28 +1354,24 @@ mod tests {
         };
         assert_eq!(checksum(&first), checksum(&second), "must be deterministic");
 
-        // The checksum is also independent of the cache configuration.
-        let uncached = run(
-            cmd_serve_bench,
-            &[
-                "hotel",
-                "--readers",
-                "2",
-                "--rounds",
-                "3",
-                "--queries",
-                "40",
-                "--updates",
-                "2",
-                "--seed",
-                "7",
-                "--cache",
-                "0",
-            ],
-        )
-        .unwrap();
-        assert!(uncached.contains("cache:       disabled"), "{uncached}");
-        assert_eq!(checksum(&first), checksum(&uncached));
+        // The arena counters are deterministic too: one fill per distinct
+        // result asked for, whatever the readers' interleaving.
+        let arena = |text: &str| {
+            text.lines()
+                .find(|l| l.starts_with("arena:"))
+                .map(str::to_owned)
+        };
+        assert!(
+            arena(&first).is_some_and(|l| l.contains(" fills")),
+            "{first}"
+        );
+        assert_eq!(arena(&first), arena(&second));
+
+        // There is no cache to size any more.
+        let mut with_cache = flags.to_vec();
+        with_cache.extend(["--cache", "0"]);
+        let err = run(cmd_serve_bench, &with_cache).unwrap_err();
+        assert!(matches!(err, CliError::Args(_)), "{err}");
     }
 
     #[test]
@@ -1431,6 +1415,7 @@ mod tests {
 
     #[test]
     fn trace_build_and_serve_bench_write_valid_chrome_traces() {
+        let _telemetry = telemetry_lock();
         // One test drives both telemetry modes back to back: recording
         // sessions are process-global, so concurrent tests would stop each
         // other's sessions.
@@ -1568,6 +1553,7 @@ mod tests {
 
     #[test]
     fn top_prints_per_tick_metric_deltas() {
+        let _telemetry = telemetry_lock();
         let text = run(
             cmd_top,
             &[
@@ -1604,6 +1590,7 @@ mod tests {
 
     #[test]
     fn mem_build_reports_phases_arenas_and_container_sections() {
+        let _telemetry = telemetry_lock();
         let text = run(cmd_mem, &["build", "--n", "60", "--global", "1"]).unwrap();
         assert!(text.contains("mem build: n=60"), "{text}");
         assert!(text.contains("retained arenas:"), "{text}");
@@ -1622,6 +1609,7 @@ mod tests {
 
     #[test]
     fn mem_serve_bench_reports_snapshot_footprint() {
+        let _telemetry = telemetry_lock();
         let text = run(
             cmd_mem,
             &[
@@ -1644,6 +1632,7 @@ mod tests {
 
     #[test]
     fn trace_build_rejects_unknown_kind() {
+        let _telemetry = telemetry_lock();
         assert!(matches!(
             run(
                 cmd_trace,

@@ -42,6 +42,26 @@ impl CellDiagram {
         }
     }
 
+    /// A copy whose result interner is read-only (no intern lookup table;
+    /// see [`ResultInterner::to_readonly`]): what a published snapshot
+    /// holds, at a fraction of a full clone's bytes.
+    pub fn to_readonly(&self) -> Self {
+        CellDiagram {
+            grid: self.grid.clone(),
+            results: self.results.to_readonly(),
+            cells: self.cells.clone(),
+        }
+    }
+
+    /// Drops the interner's lookup table in place (see
+    /// [`Self::to_readonly`]).
+    pub fn into_readonly(self) -> Self {
+        CellDiagram {
+            results: self.results.into_readonly(),
+            ..self
+        }
+    }
+
     /// The underlying cell grid.
     #[inline]
     pub fn grid(&self) -> &CellGrid {
@@ -68,13 +88,12 @@ impl CellDiagram {
         self.result(self.grid.cell_of(q))
     }
 
-    /// The cache key of a query point: the linear (row-major) index of the
+    /// The cell key of a query point: the linear (row-major) index of the
     /// cell containing `q`.
     ///
     /// By the diagram invariant, every query point with the same key has the
-    /// identical skyline result — this is what makes a result cache keyed on
-    /// `cell_key` provably exact (see `skyline_serve`). Keys are dense in
-    /// `0..grid().cell_count()`.
+    /// identical skyline result, so anything memoized per key is exact. Keys
+    /// are dense in `0..grid().cell_count()`.
     #[inline]
     pub fn cell_key(&self, q: Point) -> usize {
         self.grid.linear_index(self.grid.cell_of(q))

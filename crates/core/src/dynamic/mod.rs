@@ -63,6 +63,15 @@ impl SubcellDiagram {
         }
     }
 
+    /// Drops the interner's lookup table in place (see
+    /// [`ResultInterner::into_readonly`]).
+    pub fn into_readonly(self) -> Self {
+        SubcellDiagram {
+            results: self.results.into_readonly(),
+            ..self
+        }
+    }
+
     /// The underlying subcell grid.
     #[inline]
     pub fn grid(&self) -> &SubcellGrid {
@@ -90,11 +99,10 @@ impl SubcellDiagram {
         self.result(self.grid.subcell_of(q))
     }
 
-    /// The cache key of a query point: the linear (row-major) index of the
-    /// subcell containing `q`. Every query point with the same key receives
-    /// the identical diagram lookup, so a result cache keyed on
-    /// `subcell_key` is exact for diagram answers (see `skyline_serve`).
-    /// Keys are dense in `0..grid().subcell_count()`.
+    /// The subcell key of a query point: the linear (row-major) index of
+    /// the subcell containing `q`. Every query point with the same key
+    /// receives the identical diagram lookup. Keys are dense in
+    /// `0..grid().subcell_count()`.
     #[inline]
     pub fn subcell_key(&self, q: Point) -> usize {
         self.grid.linear_index(self.grid.subcell_of(q))

@@ -177,6 +177,18 @@ impl SkylineIndex {
         }
     }
 
+    /// Drops every diagram interner's lookup table: the read-only state a
+    /// published index needs (and the state `crate::container` decodes
+    /// to). Answers are unchanged; only interning would stop deduplicating.
+    pub fn into_readonly(self) -> Self {
+        SkylineIndex {
+            quadrant: self.quadrant.into_readonly(),
+            global: self.global.map(CellDiagram::into_readonly),
+            dynamic: self.dynamic.map(SubcellDiagram::into_readonly),
+            ..self
+        }
+    }
+
     /// Builds with defaults: quadrant diagram + polyominoes only.
     pub fn new(dataset: &Dataset) -> Self {
         SkylineIndexBuilder::default().build(dataset)
@@ -288,6 +300,26 @@ mod tests {
             assert_eq!(with_scaled.global(q), without_scaled.global(q), "{q}");
         }
         let _ = (with, without);
+    }
+
+    #[test]
+    fn read_only_index_answers_identically_in_fewer_bytes() {
+        let ds = hotel();
+        let full = SkylineIndex::builder()
+            .with_global(true)
+            .with_dynamic(true)
+            .build(&ds);
+        let readonly = full.clone().into_readonly();
+        assert!(readonly.heap_bytes() < full.heap_bytes());
+        let copied = full.quadrant_diagram().to_readonly();
+        assert!(copied.same_results(full.quadrant_diagram()));
+        assert!(copied.heap_bytes() < full.quadrant_diagram().heap_bytes());
+        for (qx, qy) in [(0, 0), (10, 50), (14, 81), (3, 5)] {
+            let q = Point::new(qx, qy);
+            assert_eq!(readonly.quadrant(q), full.quadrant(q), "{q}");
+            assert_eq!(readonly.global(q), full.global(q), "{q}");
+            assert_eq!(readonly.dynamic(q), full.dynamic(q), "{q}");
+        }
     }
 
     #[test]

@@ -259,6 +259,25 @@ impl ResultInterner {
         })
     }
 
+    /// A read-only copy: the CSR arrays without the intern lookup table —
+    /// the state [`Self::from_csr_readonly`] produces. A published index
+    /// never interns again, so serving layers copy a writer's diagram this
+    /// way instead of cloning a table nobody will consult.
+    pub fn to_readonly(&self) -> Self {
+        ResultInterner {
+            flat: self.flat.clone(),
+            ends: self.ends.clone(),
+            lookup: HashMap::new(),
+        }
+    }
+
+    /// Drops the intern lookup table in place (see [`Self::to_readonly`]).
+    /// Interning into the result afterwards would no longer deduplicate.
+    pub fn into_readonly(mut self) -> Self {
+        self.lookup = HashMap::new();
+        self
+    }
+
     /// The structural CSR laws shared by [`Self::from_csr`] and
     /// [`Self::from_csr_readonly`]; duplicate detection is separate because
     /// only the deduplicating constructor needs the hash buckets.

@@ -4,7 +4,7 @@
 //! [`std::time::Instant`] from library code outside this module).
 //!
 //! Everything here follows the same hand-rolled, lock-free discipline as
-//! [`crate::epoch`] and the serve result cache: registration is an
+//! [`crate::epoch`] and the serve handle arenas: registration is an
 //! append-only linked list of leaked nodes chained through
 //! [`std::sync::OnceLock`] next-pointers (wait-free for readers), updates
 //! are relaxed atomics, and span events buffer in a per-thread `Vec` so the
@@ -185,8 +185,8 @@ pub struct AnomalyDump {
 }
 
 /// An unregistered, always-compiled atomic counter for *per-instance*
-/// statistics (the serve result caches hold these). Unlike the registry's
-/// [`Counter`]s it has no name and never no-ops: per-snapshot cache stats
+/// statistics (the serve handle arenas hold these). Unlike the registry's
+/// [`Counter`]s it has no name and never no-ops: per-snapshot arena stats
 /// are product data, not telemetry.
 #[derive(Debug, Default)]
 pub struct CounterCell(crate::sync::AtomicU64);

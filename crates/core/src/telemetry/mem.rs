@@ -75,7 +75,7 @@ pub enum MemPhase {
     ContainerDecode = 7,
     /// A serve-side writer rebuild + publish (`serve.rebuild`).
     ServeRebuild = 8,
-    /// A serve-side result-cache miss filling a slot (`serve.cache.fill`).
+    /// A serve-side handle-arena slot fill (`serve.cache.fill`).
     CacheFill = 9,
 }
 

@@ -10,10 +10,12 @@
 //!   immutable [`snapshot::Snapshot`]s through an epoch chain
 //!   ([`skyline_core::epoch`]): writers serialize on one mutex, readers
 //!   are lock-free and always answer from one consistent epoch.
-//! * [`cache::ResultCache`] memoizes answers per snapshot, keyed by
-//!   cell/polyomino id — provably exact, never evicting, never wrong.
+//! * [`arena::HandleArena`] serves the diagram itself: each snapshot maps
+//!   every interned result to sorted handles at most once, so a diagram
+//!   answer is point location plus a borrowed slice — no allocation, no
+//!   lock, no cache to miss.
 //! * [`workload`] drives deterministic closed-loop benchmarks whose
-//!   checksums are bit-identical across thread counts and cache settings;
+//!   checksums are bit-identical across reader counts and arena warmth;
 //!   the differential stress harness (`tests/stress_diff.rs`) checks every
 //!   concurrent answer against a fresh single-threaded recompute.
 //! * [`openloop`] drives the same queries on a fixed-rate arrival
@@ -47,13 +49,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+pub mod arena;
 pub mod openloop;
 pub mod server;
 pub mod snapshot;
 pub mod workload;
 
-pub use cache::{CacheStats, ResultCache};
+pub use arena::{CacheStats, HandleArena};
 pub use openloop::{run_open_loop, LatencyHistogram, OpenLoopReport, OpenLoopSpec, FAMILY_NAMES};
 pub use server::{ServerOptions, SkylineServer, SnapshotReader};
 pub use snapshot::Snapshot;

@@ -50,8 +50,6 @@ pub struct ServerOptions {
     /// Also build the dynamic subcell diagram in every snapshot (expensive;
     /// intended for small datasets).
     pub with_dynamic: bool,
-    /// Result-cache slots per semantics per snapshot; `0` disables caching.
-    pub cache_slots: usize,
     /// Publish automatically once this many updates have buffered.
     pub rebuild_threshold: usize,
     /// Pool configuration for snapshot rebuilds (default: from the
@@ -75,7 +73,6 @@ impl Default for ServerOptions {
             dynamic_engine: DynamicEngine::Scanning,
             with_global: false,
             with_dynamic: false,
-            cache_slots: 4096,
             rebuild_threshold: 32,
             parallel: ParallelConfig::from_env(),
             injected_stall: (0, 0),
@@ -183,7 +180,7 @@ impl SkylineServer {
         };
         {
             let mut w = server.lock_writer();
-            let snapshot = Snapshot::new(1, loaded.index, handles.clone(), options.cache_slots);
+            let snapshot = Snapshot::new(1, loaded.index, handles.clone());
             let published = w.publisher.publish(snapshot);
             debug_assert_eq!(published, 1);
         }
@@ -217,13 +214,8 @@ impl SkylineServer {
                     .dynamic_engine(self.options.dynamic_engine)
                     .with_global(self.options.with_global)
                     .with_dynamic(self.options.with_dynamic)
-                    .assemble(&dataset, diagram.clone(), &self.options.parallel);
-                Snapshot::new(
-                    next_epoch,
-                    index,
-                    handles.to_vec(),
-                    self.options.cache_slots,
-                )
+                    .assemble(&dataset, diagram.to_readonly(), &self.options.parallel);
+                Snapshot::new(next_epoch, index, handles.to_vec())
             }
         };
         let published = {

@@ -1,5 +1,5 @@
 //! One published epoch: an immutable, self-contained view of the diagrams
-//! plus its (optional) exact result caches.
+//! plus one handle arena per built diagram.
 //!
 //! A [`Snapshot`] is never mutated after publication — readers share it via
 //! `Arc`, so every answer derived from one snapshot is from one consistent
@@ -13,19 +13,18 @@
 //! would be meaningless across epochs, while handles are stable across the
 //! server's rebuilds (see [`skyline_core::maintained`]).
 //!
-//! # What is cached
+//! # Borrowed answers
 //!
-//! * **quadrant** — keyed by *polyomino id*: the merged diagram proves every
-//!   query point in the polyomino has the identical result, so this is the
-//!   coarsest exact key.
-//! * **global / dynamic** — keyed by linear cell/subcell id, exact for
-//!   diagram lookups because a diagram assigns one result per cell. When
-//!   the corresponding diagram was *not* built, answers fall back to a
-//!   from-scratch computation at the exact query point; those answers are
-//!   not constant per cell on grid lines, so they are never cached (they
-//!   count as cache misses of an absent cache, i.e. not at all).
+//! A diagram answer is point location, then the located cell's interned
+//! [`ResultId`](skyline_core::result_set::ResultId), then that id's slot in
+//! the diagram's [`HandleArena`]: `Cow::Borrowed` from the arena, with no
+//! allocation once the slot is filled. When the global or dynamic diagram
+//! was *not* built, answers fall back to a from-scratch computation at the
+//! exact query point and come back `Cow::Owned`; those answers are not
+//! constant per cell on grid lines, so they never enter an arena (and are
+//! not counted by [`Snapshot::cache_stats`]).
 
-use skyline_core::sync::Arc;
+use std::borrow::Cow;
 
 use skyline_apps::continuous::{self, TraversalStep};
 use skyline_core::diagram::PolyominoRef;
@@ -34,17 +33,14 @@ use skyline_core::index::SkylineIndex;
 use skyline_core::maintained::Handle;
 use skyline_core::query;
 
-use crate::cache::{CacheStats, ResultCache};
+use crate::arena::{CacheStats, HandleArena};
 
-/// Maps an id-space answer to the snapshot's stable handle space, sorted.
-fn to_handles(handles: &[Handle], ids: impl IntoIterator<Item = PointId>) -> Arc<[Handle]> {
+/// Maps a from-scratch id-space answer to the snapshot's handle space,
+/// sorted (the fallback path; diagram answers come from the arenas).
+fn to_handles(handles: &[Handle], ids: Vec<PointId>) -> Cow<'static, [Handle]> {
     let mut out: Vec<Handle> = ids.into_iter().map(|id| handles[id.index()]).collect();
     out.sort_unstable();
-    out.into()
-}
-
-fn empty_result() -> Arc<[Handle]> {
-    Vec::new().into()
+    Cow::Owned(out)
 }
 
 /// The populated part of a snapshot (absent while the server is empty).
@@ -53,9 +49,11 @@ struct Body {
     index: SkylineIndex,
     /// Entry `i` is the stable handle of the dataset's `PointId(i)`.
     handles: Vec<Handle>,
-    quadrant_cache: Option<ResultCache>,
-    global_cache: Option<ResultCache>,
-    dynamic_cache: Option<ResultCache>,
+    quadrant: HandleArena,
+    /// Present iff the index holds the global diagram.
+    global: Option<HandleArena>,
+    /// Present iff the index holds the dynamic diagram.
+    dynamic: Option<HandleArena>,
 }
 
 /// An immutable published epoch of the server's diagrams. See the module
@@ -72,28 +70,28 @@ impl Snapshot {
         Snapshot { epoch, body: None }
     }
 
-    /// Wraps a built index. `handles[i]` must be the handle of `PointId(i)`
-    /// in the index's dataset. `cache_slots == 0` disables the caches.
-    pub(crate) fn new(
-        epoch: u64,
-        index: SkylineIndex,
-        handles: Vec<Handle>,
-        cache_slots: usize,
-    ) -> Self {
+    /// Wraps a built index, publishing it read-only (every interner's
+    /// lookup table is dropped) with one empty handle arena per diagram.
+    /// `handles[i]` must be the handle of `PointId(i)` in the index's
+    /// dataset.
+    pub(crate) fn new(epoch: u64, index: SkylineIndex, handles: Vec<Handle>) -> Self {
         debug_assert_eq!(index.dataset().len(), handles.len());
-        let cache =
-            |present: bool| (cache_slots > 0 && present).then(|| ResultCache::new(cache_slots));
-        let quadrant_cache = cache(true);
-        let global_cache = cache(index.global_diagram().is_some());
-        let dynamic_cache = cache(index.dynamic_diagram().is_some());
+        let index = index.into_readonly();
+        let quadrant = HandleArena::new(index.quadrant_diagram().results().len());
+        let global = index
+            .global_diagram()
+            .map(|d| HandleArena::new(d.results().len()));
+        let dynamic = index
+            .dynamic_diagram()
+            .map(|d| HandleArena::new(d.results().len()));
         Snapshot {
             epoch,
             body: Some(Body {
                 index,
                 handles,
-                quadrant_cache,
-                global_cache,
-                dynamic_cache,
+                quadrant,
+                global,
+                dynamic,
             }),
         }
     }
@@ -104,19 +102,14 @@ impl Snapshot {
     }
 
     /// Estimated heap bytes owned by this snapshot: the index arenas, the
-    /// handle table, and the result caches (slot arrays plus filled
-    /// entries). The empty snapshot owns nothing. This is the
-    /// per-snapshot footprint `experiments e15` reports for retention
-    /// budgeting.
+    /// handle table, and the handle arenas (slot tables plus filled
+    /// slices). The empty snapshot owns nothing. This is the per-snapshot
+    /// footprint `experiments e15` reports for retention budgeting.
     pub fn heap_bytes(&self) -> usize {
         self.body.as_ref().map_or(0, |b| {
             b.index.heap_bytes()
                 + skyline_core::telemetry::mem::vec_heap_bytes(&b.handles)
-                + [&b.quadrant_cache, &b.global_cache, &b.dynamic_cache]
-                    .into_iter()
-                    .flatten()
-                    .map(ResultCache::heap_bytes)
-                    .sum::<usize>()
+                + b.arenas().map(HandleArena::heap_bytes).sum::<usize>()
         })
     }
 
@@ -147,63 +140,49 @@ impl Snapshot {
         self.body.is_none()
     }
 
-    /// Quadrant skyline of `q`, as sorted handles. Cached by polyomino id.
-    pub fn quadrant(&self, q: Point) -> Arc<[Handle]> {
+    /// Quadrant skyline of `q`, as sorted handles borrowed from the
+    /// quadrant diagram's arena.
+    pub fn quadrant(&self, q: Point) -> Cow<'_, [Handle]> {
         let Some(body) = &self.body else {
-            return empty_result();
+            return Cow::Borrowed(&[]);
         };
-        let diagram = body.index.quadrant_diagram();
-        let key = body
-            .index
-            .polyominoes()
-            .polyomino_id_of_cell(diagram.cell_key(q)) as u64;
-        let compute = || to_handles(&body.handles, diagram.query(q).iter().copied());
-        match &body.quadrant_cache {
-            Some(cache) => cache.get_or_compute(key, compute),
-            None => compute(),
-        }
+        let d = body.index.quadrant_diagram();
+        let id = d.result_id(d.grid().cell_of(q));
+        Cow::Borrowed(body.quadrant.answer(id, d.results(), &body.handles))
     }
 
-    /// Global skyline of `q`, as sorted handles. Cached by cell id when the
-    /// global diagram was built; otherwise computed from scratch on this
-    /// epoch's dataset (uncached — see the module docs).
-    pub fn global(&self, q: Point) -> Arc<[Handle]> {
+    /// Global skyline of `q`, as sorted handles: borrowed from the global
+    /// diagram's arena when that diagram was built, otherwise computed from
+    /// scratch on this epoch's dataset (owned — see the module docs).
+    pub fn global(&self, q: Point) -> Cow<'_, [Handle]> {
         let Some(body) = &self.body else {
-            return empty_result();
+            return Cow::Borrowed(&[]);
         };
-        match body.index.global_diagram() {
-            Some(diagram) => {
-                let key = diagram.cell_key(q) as u64;
-                let compute = || to_handles(&body.handles, diagram.query(q).iter().copied());
-                match &body.global_cache {
-                    Some(cache) => cache.get_or_compute(key, compute),
-                    None => compute(),
-                }
+        match (body.index.global_diagram(), &body.global) {
+            (Some(d), Some(arena)) => {
+                let id = d.result_id(d.grid().cell_of(q));
+                Cow::Borrowed(arena.answer(id, d.results(), &body.handles))
             }
-            None => to_handles(
+            _ => to_handles(
                 &body.handles,
                 query::global_skyline(body.index.dataset(), q),
             ),
         }
     }
 
-    /// Dynamic skyline of `q`, as sorted handles. Cached by subcell id when
-    /// the dynamic diagram was built; otherwise computed from scratch on
-    /// this epoch's dataset (uncached).
-    pub fn dynamic(&self, q: Point) -> Arc<[Handle]> {
+    /// Dynamic skyline of `q`, as sorted handles: borrowed from the dynamic
+    /// diagram's arena when that diagram was built, otherwise computed from
+    /// scratch on this epoch's dataset (owned).
+    pub fn dynamic(&self, q: Point) -> Cow<'_, [Handle]> {
         let Some(body) = &self.body else {
-            return empty_result();
+            return Cow::Borrowed(&[]);
         };
-        match body.index.dynamic_diagram() {
-            Some(diagram) => {
-                let key = diagram.subcell_key(q) as u64;
-                let compute = || to_handles(&body.handles, diagram.query(q).iter().copied());
-                match &body.dynamic_cache {
-                    Some(cache) => cache.get_or_compute(key, compute),
-                    None => compute(),
-                }
+        match (body.index.dynamic_diagram(), &body.dynamic) {
+            (Some(d), Some(arena)) => {
+                let id = d.result_id(d.grid().subcell_of(q));
+                Cow::Borrowed(arena.answer(id, d.results(), &body.handles))
             }
-            None => to_handles(
+            _ => to_handles(
                 &body.handles,
                 query::dynamic_skyline(body.index.dataset(), q),
             ),
@@ -238,20 +217,23 @@ impl Snapshot {
             .map(|b| skyline_core::container::encode_index(&b.index, &b.handles))
     }
 
-    /// Aggregated hit/miss counters over this snapshot's caches. All zero
-    /// when caching is disabled (fallback-path answers bypass the caches
-    /// and are not counted).
+    /// Aggregated counters over this snapshot's handle arenas: `hits` are
+    /// answers borrowed from a filled slot, `misses` are slot fills (one
+    /// per result id asked for). Fallback-path answers bypass the arenas
+    /// and are not counted.
     pub fn cache_stats(&self) -> CacheStats {
-        let Some(body) = &self.body else {
-            return CacheStats::default();
-        };
-        [
-            &body.quadrant_cache,
-            &body.global_cache,
-            &body.dynamic_cache,
-        ]
-        .into_iter()
-        .flatten()
-        .fold(CacheStats::default(), |acc, c| acc.merged(c.stats()))
+        self.body.as_ref().map_or_else(CacheStats::default, |b| {
+            b.arenas()
+                .fold(CacheStats::default(), |acc, a| acc.merged(a.stats()))
+        })
+    }
+}
+
+impl Body {
+    /// The arenas of the diagrams this index holds.
+    fn arenas(&self) -> impl Iterator<Item = &HandleArena> {
+        std::iter::once(&self.quadrant)
+            .chain(&self.global)
+            .chain(&self.dynamic)
     }
 }

@@ -5,9 +5,8 @@
 //! # Determinism contract
 //!
 //! The driver is built so that its [`WorkloadReport::checksum`] is
-//! **bit-identical** across reader thread counts and across cache
-//! enabled/disabled runs — that equality is an acceptance test, not a
-//! hope:
+//! **bit-identical** across reader thread counts and across cold and
+//! warm handle arenas — that equality is an acceptance test, not a hope:
 //!
 //! * every query is generated from a counter-based RNG keyed by
 //!   `(seed, round, reader, i)` — no shared RNG state, no ordering
@@ -18,7 +17,7 @@
 //! * per-query digests are folded with XOR, which is order-independent.
 //!
 //! A divergent checksum therefore means a real answer changed — the
-//! differential stress harness and the cache on/off test both rely on
+//! differential stress harness and the arena-warmth test both rely on
 //! this.
 
 use skyline_core::sync::Arc;
@@ -27,7 +26,7 @@ use skyline_core::geometry::Point;
 use skyline_core::maintained::Handle;
 use skyline_core::parallel::{self, ParallelConfig};
 
-use crate::cache::CacheStats;
+use crate::arena::CacheStats;
 use crate::server::SkylineServer;
 use crate::snapshot::Snapshot;
 
@@ -134,10 +133,11 @@ pub struct WorkloadReport {
     /// Wall-clock time of the whole run.
     pub elapsed_ms: f64,
     /// Order-independent digest of every answer; identical across thread
-    /// counts and cache settings for the same spec and server content.
+    /// counts and arena warmth for the same spec and server content.
     pub checksum: u64,
-    /// Cache counters of the final epoch's snapshot (a whole-run total when
-    /// the run publishes no epochs; the last epoch's share otherwise).
+    /// Handle-arena counters of the final epoch's snapshot (a whole-run
+    /// total when the run publishes no epochs; the last epoch's share
+    /// otherwise).
     pub cache: CacheStats,
 }
 
@@ -384,19 +384,26 @@ mod tests {
     }
 
     #[test]
-    fn checksum_is_cache_independent() {
-        let spec = spec();
-        let cached = ServerOptions::default();
-        let uncached = ServerOptions {
-            cache_slots: 0,
-            ..ServerOptions::default()
+    fn checksum_is_independent_of_arena_warmth() {
+        // Read-only, so one epoch serves every round and server `a`'s
+        // arenas stay warm from the first run into the second.
+        let read_only = WorkloadSpec {
+            updates_per_round: 0,
+            ..spec()
         };
-        let (a, ha) = server_with(60, cached);
-        let (b, hb) = server_with(60, uncached);
-        let ra = run(&a, &spec, &ha);
-        let rb = run(&b, &spec, &hb);
-        assert_eq!(ra.checksum, rb.checksum, "cache on/off agree bit-for-bit");
-        assert_eq!(rb.cache.lookups(), 0, "disabled cache counts nothing");
+        let (a, ha) = server_with(60, ServerOptions::default());
+        let (b, hb) = server_with(60, ServerOptions::default());
+        let first = run(&a, &read_only, &ha);
+        let warm = run(&a, &read_only, &ha);
+        let cold = run(&b, &read_only, &hb);
+        assert_eq!(warm.checksum, cold.checksum, "warm/cold agree bit-for-bit");
+        assert_eq!(first.checksum, cold.checksum);
+        assert!(cold.cache.misses > 0, "a cold arena fills");
+        assert_eq!(
+            warm.cache.misses, first.cache.misses,
+            "a warm arena fills nothing more"
+        );
+        assert_eq!(warm.cache.misses, cold.cache.misses, "one fill per result");
     }
 
     #[test]
@@ -410,7 +417,7 @@ mod tests {
         let report = run(&server, &read_only, &handles);
         assert_eq!(report.epochs_published, 0);
         assert_eq!(report.updates, 0);
-        assert!(report.cache.hits > 0, "repeated cells must hit");
+        assert!(report.cache.hits > 0, "repeated results must hit");
         assert!(report.queries_per_sec() > 0.0);
     }
 

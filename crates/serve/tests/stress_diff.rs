@@ -7,7 +7,7 @@
 //! interleaving (writer role first, then each reader), at `4` the roles
 //! genuinely race on multi-core hosts. Correctness is checked the same way
 //! in both regimes — against the epoch-consistent oracle — so a data race,
-//! a torn publication, or a cache serving across epochs fails the same
+//! a torn publication, or an arena serving across epochs fails the same
 //! assertions everywhere.
 //!
 //! # Boundary discipline
@@ -304,12 +304,15 @@ fn stress_dynamic_semantics_under_churn() {
     assert_eq!(done[1..].iter().sum::<u64>(), 1200);
 }
 
-/// Cache-enabled and cache-disabled servers answer the same mutating
-/// workload with bit-for-bit identical checksums — across two seeds.
+/// A built server and a server cold-started from its container answer the
+/// same workloads with bit-for-bit identical checksums — across two seeds.
+/// The read-only phase races four readers' arena fills on the built and on
+/// the restored epoch (one fill per result id either way); the mutating
+/// phase then republishes both from their maintained indexes.
 #[test]
-fn cached_and_uncached_checksums_agree() {
+fn built_and_cold_started_checksums_agree() {
     for seed in [7u64, 0x5eed] {
-        let spec = WorkloadSpec {
+        let mutating = WorkloadSpec {
             readers: 4,
             rounds: 4,
             queries_per_reader: 120,
@@ -324,23 +327,29 @@ fn cached_and_uncached_checksums_agree() {
                 trace: 1,
             },
         };
-        let cached = ServerOptions {
+        let read_only = WorkloadSpec {
+            updates_per_round: 0,
+            ..mutating
+        };
+        let options = ServerOptions {
             with_global: true,
             ..ServerOptions::default()
         };
-        let uncached = ServerOptions {
-            cache_slots: 0,
-            ..cached
-        };
-        let (a, ha) = seed_server(64, seed, cached);
-        let (b, hb) = seed_server(64, seed, uncached);
-        let ra = workload::run(&a, &spec, &ha);
-        let rb = workload::run(&b, &spec, &hb);
-        assert_eq!(
-            ra.checksum, rb.checksum,
-            "cache on/off diverged for seed {seed}"
+        let (a, ha) = seed_server(64, seed, options);
+        let bytes = a.latest().to_container().expect("populated");
+        let (b, hb) = SkylineServer::from_container(&bytes, options).expect("valid container");
+        assert_eq!(ha, hb);
+        let (ra, rb) = (
+            workload::run(&a, &read_only, &ha),
+            workload::run(&b, &read_only, &hb),
         );
-        assert_eq!(rb.cache.lookups(), 0, "disabled cache observes nothing");
+        assert_eq!(ra.checksum, rb.checksum, "read-only diverged, seed {seed}");
+        assert_eq!(ra.cache, rb.cache, "one fill per result id, hits the rest");
+        let (ra, rb) = (
+            workload::run(&a, &mutating, &ha),
+            workload::run(&b, &mutating, &hb),
+        );
+        assert_eq!(ra.checksum, rb.checksum, "mutating diverged, seed {seed}");
         assert_eq!(ra.queries, rb.queries);
     }
 }

@@ -22,13 +22,13 @@ const LIB_SCOPE: &[&str] = &[
 ];
 
 /// Files that make up the lock-free snapshot read path. Readers must never
-/// block: epoch publication and cache fills use `OnceLock`/atomics only, so
+/// block: epoch publication and arena fills use `OnceLock`/atomics only, so
 /// any `Mutex`/`RwLock` here breaks the serving layer's progress guarantee.
 /// The writer side (`server.rs`) is deliberately out of scope — its single
 /// `Mutex` serializes updates, never reads.
 const READ_PATH_SCOPE: &[&str] = &[
     "crates/core/src/epoch.rs",
-    "crates/serve/src/cache.rs",
+    "crates/serve/src/arena.rs",
     "crates/serve/src/snapshot.rs",
 ];
 
@@ -964,7 +964,7 @@ pub fn f() {
     #[test]
     fn lock_primitives_fire_only_on_the_read_path() {
         let qualified = "use std::sync::Mutex;\nfn f() { let m = Mutex::new(0); }";
-        let f = findings_for("crates/serve/src/cache.rs", qualified);
+        let f = findings_for("crates/serve/src/arena.rs", qualified);
         // The `use` line and the constructor call each fire.
         assert_eq!(
             f.iter().filter(|f| f.rule == "no-lock-read-path").count(),
@@ -1042,7 +1042,7 @@ pub fn f() {
         assert_eq!(f.iter().filter(|f| f.rule == "no-raw-atomic").count(), 2);
 
         let grouped = "use std::sync::{Arc, OnceLock, atomic};";
-        let f = findings_for("crates/serve/src/cache.rs", grouped);
+        let f = findings_for("crates/serve/src/arena.rs", grouped);
         // OnceLock and atomic each fire; Arc is fine.
         assert_eq!(f.iter().filter(|f| f.rule == "no-raw-atomic").count(), 2);
 

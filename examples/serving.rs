@@ -16,12 +16,11 @@ use skyline_core::parallel::{self, ParallelConfig};
 use skyline_serve::{QueryMix, ServerOptions, SkylineServer, WorkloadSpec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // 1. Load a dataset and stand up a server with the global diagram and
-    //    the exact per-polyomino result cache enabled.
+    // 1. Load a dataset and stand up a server that also builds the global
+    //    diagram.
     let dataset = Dataset::from_coords([(2, 14), (4, 9), (7, 7), (9, 3), (13, 2), (6, 12)])?;
     let options = ServerOptions {
         with_global: true,
-        cache_slots: 1024,
         ..ServerOptions::default()
     };
     let (server, handles) = SkylineServer::with_dataset(&dataset, options);
@@ -53,12 +52,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 4. The pinned snapshot still answers from its epoch; hopping to the
     //    new one shows the dominating point (3, 3) take over the answer.
     let before = snapshot.quadrant(q);
-    let after = reader.snapshot().quadrant(q);
+    // Answers borrow from their snapshot, so keep the new one bound.
+    let latest = reader.snapshot();
+    let after = latest.quadrant(q);
     println!("before: {before:?}  after: {after:?}");
     assert_ne!(before, after);
 
-    // 5. Readers fan out on the deterministic scoped pool; each worker
-    //    pins its own snapshot and the cache serves repeats in O(1).
+    // 5. Readers fan out on the deterministic scoped pool; each answer
+    //    borrows the diagram's handle arena, which maps each
+    //    distinct result to handles once (a "fill") and serves every
+    //    repeat without allocating (a "hit").
     let snap = server.latest();
     let answers = parallel::map_indexed(&ParallelConfig::with_threads(4), 64, |i| {
         let p = Point::new((i % 8) as i64 * 2 + 1, (i / 8) as i64 * 2 + 1);
@@ -66,7 +69,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let stats = snap.cache_stats();
     println!(
-        "64 parallel queries -> {} results, cache {} hits / {} misses",
+        "64 parallel queries -> {} results, arena {} hits / {} fills",
         answers.len(),
         stats.hits,
         stats.misses
