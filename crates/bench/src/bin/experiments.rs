@@ -108,15 +108,6 @@ const COLD_START_RATIO: f64 = 10.0;
 /// working-set peak must stay near sequential.
 const MEM_PEAK_RATIO: f64 = 1.25;
 
-/// The global family's own peak bound: its *parallel formulation* is a
-/// different algorithm, not the sequential one fanned out — every row's
-/// 4-way union materializes as run-length `BitRuns` before the
-/// sequential interning pass, an inherent `O(cells)` staging buffer the
-/// streaming sequential path never holds. Measured 1.28x at n = 800
-/// (1.15x at n = 400); the bound leaves regression headroom above that
-/// without letting a second staging copy slip in.
-const MEM_PEAK_RATIO_GLOBAL: f64 = 1.6;
-
 /// Peak-comparison floor for the E15 guard: pairs whose peak deltas are
 /// both under this many bytes measure allocator noise (thread-spawn
 /// scratch, registry nodes), not the diagram working set.
@@ -336,8 +327,8 @@ fn main() {
             match gate_memory(&records) {
                 Ok(checked) => {
                     eprintln!(
-                        "gate: {checked} memory bounds honored (peak within {MEM_PEAK_RATIO}x, \
-                         {MEM_PEAK_RATIO_GLOBAL}x global; <= {MEM_BYTES_PER_CELL_BUDGET} B/cell)"
+                        "gate: {checked} memory bounds honored (peak within {MEM_PEAK_RATIO}x; \
+                         <= {MEM_BYTES_PER_CELL_BUDGET} B/cell)"
                     );
                 }
                 Err(violations) => failures.extend(violations),
@@ -974,9 +965,7 @@ fn e15_memory(profile: Profile) -> Vec<BenchRecord> {
 ///
 /// * **Peak regression** — every t=4 build row's `mem.peak_bytes` delta
 ///   stays within [`MEM_PEAK_RATIO`] of the t=0 row of the same
-///   configuration ([`MEM_PEAK_RATIO_GLOBAL`] for the global family,
-///   whose parallel formulation stages per-row unions by design),
-///   same-host/same-invocation like the timing guard. Pairs with both
+///   configuration, same-host/same-invocation like the timing guard. Pairs with both
 ///   peaks under [`MEM_PEAK_FLOOR_BYTES`] are exempt.
 /// * **Absolute budget** — every build row's retained
 ///   `mem.heap_bytes / mem.cells` stays under
@@ -1021,15 +1010,10 @@ fn gate_memory(records: &[BenchRecord]) -> Result<usize, Vec<String>> {
             continue;
         }
         checked += 1;
-        let bound = if r.algorithm.starts_with("global/") {
-            MEM_PEAK_RATIO_GLOBAL
-        } else {
-            MEM_PEAK_RATIO
-        };
-        if par_peak as f64 > bound * seq_peak as f64 {
+        if par_peak as f64 > MEM_PEAK_RATIO * seq_peak as f64 {
             violations.push(format!(
                 "e15 {} n={} threads={}: peak {par_peak} B vs sequential {seq_peak} B \
-                 ({:.2}x > {bound}x)",
+                 ({:.2}x > {MEM_PEAK_RATIO}x)",
                 r.algorithm,
                 r.n,
                 r.threads,
@@ -1741,14 +1725,15 @@ fn e5_diagram_statistics() {
         for n in [100usize, 400, 1600] {
             let ds = sweep_dataset(n, dist);
             let swept = quadrant::sweeping::build(&ds);
-            let stats = swept.cell_diagram.stats();
+            let merged = merge(&swept);
+            let stats = swept.stats();
             println!(
                 "| {} | {} | {} | {} | {:.3} | {} | {:.2} | {} | {} |",
                 dist.name(),
                 n,
                 stats.cell_count,
-                swept.merged.len(),
-                swept.merged.len() as f64 / stats.cell_count as f64,
+                merged.len(),
+                merged.len() as f64 / stats.cell_count as f64,
                 stats.distinct_results,
                 stats.avg_result_len,
                 stats.max_result_len,

@@ -230,16 +230,16 @@ fn check_quadrant(spec: &DatasetSpec, ds: &Dataset) {
     }
     // The swept diagram's polyomino merge must be a valid maximal partition.
     let swept = skyline_core::quadrant::sweeping::build(ds);
-    if let Err(v) = invariants::validate_merged_cells(&swept.cell_diagram, &swept.merged) {
+    let swept_merged = skyline_core::diagram::merge::merge(&swept);
+    if let Err(v) = invariants::validate_merged_cells(&swept, &swept_merged) {
         fail(&format!("swept merge invariants: {v}"), spec);
     }
     // Literal Algorithm 4 vs corner-key polyomino count (general position
     // only; bounded-domain rounds are skipped by the tie check inside).
     if let Ok(walks) = skyline_core::quadrant::algorithm4::build(ds) {
-        let nonempty = swept
-            .merged
+        let nonempty = swept_merged
             .iter()
-            .filter(|p| !swept.cell_diagram.results().get(p.result).is_empty())
+            .filter(|p| !swept.results().get(p.result).is_empty())
             .count();
         if walks.len() != nonempty {
             fail("algorithm4-count", spec);

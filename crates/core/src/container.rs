@@ -104,9 +104,10 @@
 
 use crate::diagram::{CellDiagram, MergedDiagram};
 use crate::dynamic::SubcellDiagram;
-use crate::geometry::{CellGrid, CellIndex, Coord, Dataset, Point, PointId, MAX_COORD};
+use crate::geometry::{CellGrid, CellIndex, Coord, Dataset, Point, MAX_COORD};
 use crate::index::SkylineIndex;
 use crate::maintained::Handle;
+use crate::parallel::{self, ParallelConfig};
 use crate::result_set::{ResultId, ResultInterner};
 
 /// FNV-1a 64 folded a *word* at a time: the input is split into 8-byte
@@ -121,21 +122,33 @@ use crate::result_set::{ResultId, ResultInterner};
 /// each payload length by the directory), so two regions of different
 /// lengths are never compared through this digest alone.
 fn fnv64(data: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        h ^= u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8-byte slices"));
-        h = h.wrapping_mul(PRIME);
-    }
+    fnv64_words(data).fold(FNV64_BASIS, fnv64_step)
+}
+
+const FNV64_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One FNV-1a 64 step over a whole word.
+#[inline]
+fn fnv64_step(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// The words [`fnv64`] folds: 8-byte little-endian words, the trailing
+/// partial word zero-padded.
+fn fnv64_words(data: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let words = data.chunks_exact(8);
     let rem = words.remainder();
-    if !rem.is_empty() {
+    let tail = (!rem.is_empty()).then(|| {
         let mut tail = [0u8; 8];
         tail[..rem.len()].copy_from_slice(rem);
-        h ^= u64::from_le_bytes(tail);
-        h = h.wrapping_mul(PRIME);
-    }
-    h
+        u64::from_le_bytes(tail)
+    });
+    words.map(le_u64).chain(tail)
+}
+
+/// The little-endian `u64` in the first eight bytes of `b`.
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("the slice holds eight bytes"))
 }
 
 /// Container magic bytes ("SKyline Diagram Container").
@@ -458,6 +471,20 @@ impl<'a> Cursor<'a> {
         Ok(i64::from_le_bytes(bytes))
     }
 
+    /// Reads `count` little-endian `u32`s in one bounds check, so the
+    /// array sections decode as one pass over their bytes.
+    fn u32s(&mut self, count: usize) -> Result<impl Iterator<Item = u32> + 'a, Error> {
+        Ok(self.array(count, 4)?.chunks_exact(4).map(le_u32))
+    }
+
+    /// Takes the bytes of `count` elements of `elem_size` bytes each.
+    fn array(&mut self, count: usize, elem_size: usize) -> Result<&'a [u8], Error> {
+        let len = count
+            .checked_mul(elem_size)
+            .ok_or(Error::Invalid("section extent overflows the address space"))?;
+        self.take(len)
+    }
+
     /// Reads a `u64` element count and rejects it unless `count *
     /// elem_size` fits in the bytes that remain — so corrupt counts can
     /// never drive an oversized allocation or an overflowing extent.
@@ -480,6 +507,11 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// The little-endian `u32` in the first four bytes of `b`.
+fn le_u32(b: &[u8]) -> u32 {
+    u32::from_le_bytes(b[..4].try_into().expect("the slice holds four bytes"))
+}
+
 struct DirEntry {
     id: u32,
     offset: u64,
@@ -489,6 +521,14 @@ struct DirEntry {
 /// Validates steps 1–4 of the decode order (see the module docs) and
 /// returns the flags plus the directory with per-section payload ranges.
 fn validate_envelope(bytes: &[u8]) -> Result<(u32, Vec<DirEntry>), Error> {
+    let (flags, dir) = validate_directory(bytes)?;
+    verify_sections(bytes, &dir)?;
+    Ok((flags, dir))
+}
+
+/// Validates steps 1–3 of the decode order: everything up to, not
+/// including, the per-section checksums.
+fn validate_directory(bytes: &[u8]) -> Result<(u32, Vec<DirEntry>), Error> {
     if bytes.len() < HEADER_LEN {
         return Err(Error::Truncated);
     }
@@ -557,19 +597,49 @@ fn validate_envelope(bytes: &[u8]) -> Result<(u32, Vec<DirEntry>), Error> {
     if (bytes.len() as u64) > total {
         return Err(Error::TrailingBytes(bytes.len() - total as usize));
     }
-    for (k, entry) in dir.iter().enumerate() {
+    Ok((flags, dir))
+}
+
+/// Step 4 of the decode order: every section payload against the checksum
+/// its directory entry stores.
+fn verify_sections(bytes: &[u8], dir: &[DirEntry]) -> Result<(), Error> {
+    let body = |e: &DirEntry| &bytes[e.offset as usize..(e.offset + e.length) as usize];
+    // A digest is a chain of dependent multiplies, which leaves the
+    // multiplier idle most cycles; so the largest section's digest advances
+    // in lockstep with each of the others', a whole word of each per step.
+    let Some(largest) = (0..dir.len()).max_by_key(|&k| dir[k].length) else {
+        return Ok(());
+    };
+    let mut largest_rest = body(&dir[largest]);
+    let mut largest_digest = FNV64_BASIS;
+    let mut digests = vec![FNV64_BASIS; dir.len()];
+    for (k, entry) in dir.iter().enumerate().filter(|&(k, _)| k != largest) {
+        let data = body(entry);
+        let paired = 8 * (data.len() / 8).min(largest_rest.len() / 8);
+        let mut digest = FNV64_BASIS;
+        for (ours, theirs) in data[..paired]
+            .chunks_exact(8)
+            .zip(largest_rest[..paired].chunks_exact(8))
+        {
+            digest = fnv64_step(digest, le_u64(ours));
+            largest_digest = fnv64_step(largest_digest, le_u64(theirs));
+        }
+        digests[k] = fnv64_words(&data[paired..]).fold(digest, fnv64_step);
+        largest_rest = &largest_rest[paired..];
+    }
+    digests[largest] = fnv64_words(largest_rest).fold(largest_digest, fnv64_step);
+    for (k, (entry, digest)) in dir.iter().zip(digests).enumerate() {
         let at = HEADER_LEN + k * DIR_ENTRY_LEN + 24;
         let stored = u64::from_le_bytes(
             bytes[at..at + 8]
                 .try_into()
                 .expect("directory checksum words are in bounds"),
         );
-        let body = &bytes[entry.offset as usize..(entry.offset + entry.length) as usize];
-        if fnv64(body) != stored {
+        if digest != stored {
             return Err(Error::SectionChecksumMismatch(entry.id));
         }
     }
-    Ok((flags, dir))
+    Ok(())
 }
 
 /// Lists the sections of a container after envelope validation (header,
@@ -607,29 +677,29 @@ fn decode_interner(buf: &[u8], n_points: usize) -> Result<ResultInterner, Error>
     let mut c = Cursor::new(buf);
     let sets = c.count(4)?;
     let total = c.u64()?;
-    let mut ends = Vec::with_capacity(sets);
-    for _ in 0..sets {
-        ends.push(c.u32()?);
-    }
+    let ends: Vec<u32> = c.u32s(sets)?.collect();
     let remaining = (buf.len() - c.pos) as u64;
     if total > remaining / 4 {
         return Err(Error::Invalid("element count exceeds section length"));
     }
-    let total = total as usize;
-    let mut flat = Vec::with_capacity(total);
-    for _ in 0..total {
-        let id = c.u32()?;
-        if id as usize >= n_points {
-            return Err(Error::Invalid("result id exceeds the dataset size"));
-        }
-        flat.push(PointId(id));
-    }
+    let flat_le = c.array(total as usize, 4)?;
     c.finish()?;
     // The read-only constructor: full structural validation, but no intern
     // lookup table — a loaded interner is never interned into, and skipping
     // the table rebuild keeps the cold-start E14 gate an order of magnitude
     // ahead of a rebuild.
-    ResultInterner::from_csr_readonly(flat, ends).map_err(Error::Invalid)
+    let results = ResultInterner::from_le_csr_readonly(flat_le, ends).map_err(Error::Invalid)?;
+    // Every run is strictly sorted now, so the ids ending the runs bound
+    // all the others.
+    let flat = results.flat_ids();
+    if results
+        .ends()
+        .iter()
+        .any(|&end| end > 0 && flat[end as usize - 1].index() >= n_points)
+    {
+        return Err(Error::Invalid("result id exceeds the dataset size"));
+    }
+    Ok(results)
 }
 
 fn decode_cells(buf: &[u8], expected: usize, interner_len: usize) -> Result<Vec<ResultId>, Error> {
@@ -640,13 +710,14 @@ fn decode_cells(buf: &[u8], expected: usize, interner_len: usize) -> Result<Vec<
             "cell count does not match the rebuilt grid shape",
         ));
     }
-    let mut cells = Vec::with_capacity(count);
-    for _ in 0..count {
-        let rid = c.u32()?;
-        if rid as usize >= interner_len {
-            return Err(Error::Invalid("cell references an uninterned result id"));
-        }
-        cells.push(ResultId(rid));
+    let cells: Vec<ResultId> = c.u32s(count)?.map(ResultId).collect();
+    if cells
+        .iter()
+        .map(|rid| rid.0)
+        .max()
+        .is_some_and(|rid| rid as usize >= interner_len)
+    {
+        return Err(Error::Invalid("cell references an uninterned result id"));
     }
     c.finish()?;
     Ok(cells)
@@ -667,29 +738,23 @@ fn decode_merged(buf: &[u8], quadrant: &CellDiagram) -> Result<MergedDiagram, Er
             "polyomino cells must partition the grid exactly",
         ));
     }
-    let mut results = Vec::with_capacity(polys);
-    for _ in 0..polys {
-        let rid = c.u32()?;
-        if rid as usize >= quadrant.results().len() {
-            return Err(Error::Invalid(
-                "polyomino references an uninterned result id",
-            ));
-        }
-        results.push(ResultId(rid));
+    let results: Vec<ResultId> = c.u32s(polys)?.map(ResultId).collect();
+    if results
+        .iter()
+        .map(|rid| rid.0)
+        .max()
+        .is_some_and(|rid| rid as usize >= quadrant.results().len())
+    {
+        return Err(Error::Invalid(
+            "polyomino references an uninterned result id",
+        ));
     }
-    let mut ends = Vec::with_capacity(polys);
-    let mut prev = 0u32;
-    for k in 0..polys {
-        let e = c.u32()?;
-        // Strictly increasing with ends[0] >= 1: no empty polyominoes.
-        let increasing = if k == 0 { e >= 1 } else { e > prev };
-        if !increasing {
-            return Err(Error::Invalid(
-                "polyomino end offsets must be strictly increasing",
-            ));
-        }
-        ends.push(e);
-        prev = e;
+    let ends: Vec<u32> = c.u32s(polys)?.collect();
+    // Strictly increasing with ends[0] >= 1: no empty polyominoes.
+    if ends.first().is_some_and(|&e| e < 1) || ends.windows(2).any(|w| w[0] >= w[1]) {
+        return Err(Error::Invalid(
+            "polyomino end offsets must be strictly increasing",
+        ));
     }
     if ends.last().copied() != Some(cells_total as u32) {
         return Err(Error::Invalid(
@@ -697,14 +762,17 @@ fn decode_merged(buf: &[u8], quadrant: &CellDiagram) -> Result<MergedDiagram, Er
         ));
     }
     let cells_total = cells_total as usize;
-    let mut cells_flat: Vec<CellIndex> = Vec::with_capacity(cells_total);
-    for _ in 0..cells_total {
-        let i = c.u32()?;
-        let j = c.u32()?;
-        if i > nx || j > ny {
-            return Err(Error::Invalid("polyomino member cell outside the grid"));
-        }
-        cells_flat.push((i, j));
+    let cells_flat: Vec<CellIndex> = c
+        .array(cells_total, 8)?
+        .chunks_exact(8)
+        .map(|b| (le_u32(b), le_u32(&b[4..])))
+        .collect();
+    // Branch-free maxima (they vectorize) instead of a short-circuit scan.
+    let (max_i, max_j) = cells_flat
+        .iter()
+        .fold((0, 0), |(mi, mj), &(i, j)| (mi.max(i), mj.max(j)));
+    if max_i > nx || max_j > ny {
+        return Err(Error::Invalid("polyomino member cell outside the grid"));
     }
     let map_len = c.count(4)?;
     if map_len != cell_count {
@@ -712,15 +780,11 @@ fn decode_merged(buf: &[u8], quadrant: &CellDiagram) -> Result<MergedDiagram, Er
             "cell-to-polyomino map must cover every cell",
         ));
     }
-    let mut map = Vec::with_capacity(map_len);
-    for _ in 0..map_len {
-        let p = c.u32()?;
-        if p as usize >= polys {
-            return Err(Error::Invalid(
-                "cell-to-polyomino map references a missing polyomino",
-            ));
-        }
-        map.push(p);
+    let map: Vec<u32> = c.u32s(map_len)?.collect();
+    if map.iter().max().is_some_and(|&p| p as usize >= polys) {
+        return Err(Error::Invalid(
+            "cell-to-polyomino map references a missing polyomino",
+        ));
     }
     c.finish()?;
     // Partition exactness: polyomino k must own exactly the cells the
@@ -776,15 +840,56 @@ fn decode_handles(buf: &[u8], n_points: usize) -> Result<Vec<Handle>, Error> {
     Ok(handles)
 }
 
+/// Containers at least this large decode with the section checksums and
+/// the two biggest payload groups on separate workers. Below it, the
+/// spawns (0.1–0.3 ms each on a 2-core VM) and the workers' cold
+/// allocator arenas cost more than the overlap saves: a 1.9 MB container
+/// cold-started a third slower with the split than without.
+const PARALLEL_DECODE_MIN_BYTES: usize = 4 << 20;
+
 /// Decodes a container produced by [`encode_index`], revalidating every
 /// layer (see the module docs for the exact order). On success the
 /// returned index answers queries immediately — no diagram is rebuilt,
 /// only the `O(n log n)` cell grid is re-derived from the dataset.
+///
+/// Steps 4–6 only read `bytes`, so on a large container with the
+/// process-wide parallel configuration (`SKYLINE_THREADS`) allowing it, the
+/// section checksums run beside the payload decode, and the global
+/// diagram's payloads beside the quadrant's. Errors are still reported in
+/// the documented order: a checksum mismatch wins over anything the decode
+/// found, and a quadrant-side error over a global-side one.
 pub fn decode_index(bytes: &[u8]) -> Result<LoadedSnapshot, Error> {
+    let cfg = if bytes.len() >= PARALLEL_DECODE_MIN_BYTES {
+        ParallelConfig::from_env()
+    } else {
+        ParallelConfig::sequential()
+    };
+    decode_with(bytes, &cfg)
+}
+
+/// [`decode_index`] with an explicit parallel configuration.
+fn decode_with(bytes: &[u8], cfg: &ParallelConfig) -> Result<LoadedSnapshot, Error> {
     let _span = crate::span!("container.decode", bytes.len() as u64);
     let _mem = crate::telemetry::mem::phase(crate::telemetry::mem::MemPhase::ContainerDecode);
     crate::counter!("container.decodes").add(1);
-    let (flags, dir) = validate_envelope(bytes)?;
+    let (flags, dir) = validate_directory(bytes)?;
+    let (checksums, decoded) = parallel::join(
+        cfg,
+        || verify_sections(bytes, &dir),
+        || decode_payloads(bytes, flags, &dir, cfg),
+    );
+    checksums?;
+    decoded
+}
+
+/// Steps 5 and 6 of the decode order: the flags against the section list,
+/// then every payload.
+fn decode_payloads(
+    bytes: &[u8],
+    flags: u32,
+    dir: &[DirEntry],
+    cfg: &ParallelConfig,
+) -> Result<LoadedSnapshot, Error> {
     if flags & !KNOWN_FLAGS != 0 {
         return Err(Error::Invalid("unknown flag bits set"));
     }
@@ -820,22 +925,33 @@ pub fn decode_index(bytes: &[u8]) -> Result<LoadedSnapshot, Error> {
     let n = dataset.len();
     let grid = CellGrid::new(&dataset);
 
-    let quad_results = decode_interner(payload(SEC_QUAD_RESULTS), n)?;
-    let quad_cells = decode_cells(
-        payload(SEC_QUAD_CELLS),
-        grid.cell_count(),
-        quad_results.len(),
-    )?;
-    let quadrant = CellDiagram::from_parts(grid.clone(), quad_results, quad_cells);
-    let merged = decode_merged(payload(SEC_MERGED), &quadrant)?;
-
-    let global = if flags & FLAG_GLOBAL != 0 {
-        let results = decode_interner(payload(SEC_GLOBAL_RESULTS), n)?;
-        let cells = decode_cells(payload(SEC_GLOBAL_CELLS), grid.cell_count(), results.len())?;
-        Some(CellDiagram::from_parts(grid, results, cells))
+    // Without a global diagram there is nothing to decode beside the
+    // quadrant's payloads.
+    let split = if flags & FLAG_GLOBAL != 0 {
+        *cfg
     } else {
-        None
+        ParallelConfig::sequential()
     };
+    let (quadrant, global) = parallel::join(
+        &split,
+        || -> Result<_, Error> {
+            let results = decode_interner(payload(SEC_QUAD_RESULTS), n)?;
+            let cells = decode_cells(payload(SEC_QUAD_CELLS), grid.cell_count(), results.len())?;
+            let quadrant = CellDiagram::from_parts(grid.clone(), results, cells);
+            let merged = decode_merged(payload(SEC_MERGED), &quadrant)?;
+            Ok((quadrant, merged))
+        },
+        || -> Result<_, Error> {
+            if flags & FLAG_GLOBAL == 0 {
+                return Ok(None);
+            }
+            let results = decode_interner(payload(SEC_GLOBAL_RESULTS), n)?;
+            let cells = decode_cells(payload(SEC_GLOBAL_CELLS), grid.cell_count(), results.len())?;
+            Ok(Some((results, cells)))
+        },
+    );
+    let (quadrant, merged) = quadrant?;
+    let global = global?.map(|(results, cells)| CellDiagram::from_parts(grid, results, cells));
 
     let dynamic = if flags & FLAG_DYNAMIC != 0 {
         let xlines = decode_lines(payload(SEC_DYN_XLINES))?;
@@ -915,6 +1031,65 @@ mod tests {
         // Loaded safe zones answer identically too.
         let q = crate::geometry::Point::new(14, 81);
         assert_eq!(loaded.index.safe_zone(q).cells, index.safe_zone(q).cells);
+    }
+
+    /// Recomputes every section checksum and the header checksum, so a
+    /// tampered payload reaches semantic validation.
+    fn reseal(bytes: &mut [u8]) {
+        let (_, dir) = validate_directory(bytes).unwrap();
+        for (k, entry) in dir.iter().enumerate() {
+            let body = &bytes[entry.offset as usize..(entry.offset + entry.length) as usize];
+            let at = HEADER_LEN + k * DIR_ENTRY_LEN + 24;
+            let digest = fnv64(body);
+            bytes[at..at + 8].copy_from_slice(&digest.to_le_bytes());
+        }
+        let dir_end = HEADER_LEN + dir.len() * DIR_ENTRY_LEN;
+        let digest = fnv64(&bytes[..dir_end]);
+        bytes[dir_end..dir_end + 8].copy_from_slice(&digest.to_le_bytes());
+    }
+
+    #[test]
+    fn parallel_decode_reports_what_sequential_decode_reports() {
+        let index = hotel_index(true, true);
+        let bytes = encode_index(&index, &handles_for(&index));
+        let sequential = ParallelConfig::sequential();
+        let parallel = ParallelConfig::with_threads(2);
+        let loaded = decode_with(&bytes, &parallel).unwrap();
+        assert_eq!(encode_index(&loaded.index, &loaded.handles), bytes);
+
+        let (_, dir) = validate_directory(&bytes).unwrap();
+        let outcome = |b: &[u8], cfg| decode_with(b, cfg).map(|_| ()).unwrap_err();
+        for entry in &dir {
+            // A flipped payload bit: a checksum error, whatever the decode
+            // running beside the checksums makes of the payload.
+            let mut flipped = bytes.clone();
+            flipped[entry.offset as usize] ^= 1;
+            assert_eq!(
+                outcome(&flipped, &parallel),
+                Error::SectionChecksumMismatch(entry.id)
+            );
+            // The same flip with checksums forged: the semantic error the
+            // sequential order finds first, if the flip breaks anything.
+            reseal(&mut flipped);
+            assert_eq!(
+                decode_with(&flipped, &parallel).map(|_| ()),
+                decode_with(&flipped, &sequential).map(|_| ()),
+                "section {}",
+                entry.id
+            );
+        }
+        // Broken quadrant and global payloads at once: the quadrant side,
+        // decoded first in sequence, wins on both paths.
+        let offset = |id: u32| dir.iter().find(|e| e.id == id).unwrap().offset as usize;
+        let mut both = bytes.clone();
+        let quad_cell = offset(SEC_QUAD_CELLS) + 8;
+        both[quad_cell..quad_cell + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let global_count = offset(SEC_GLOBAL_CELLS);
+        both[global_count] ^= 1;
+        reseal(&mut both);
+        let want = Error::Invalid("cell references an uninterned result id");
+        assert_eq!(outcome(&both, &sequential), want);
+        assert_eq!(outcome(&both, &parallel), want);
     }
 
     #[test]

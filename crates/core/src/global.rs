@@ -4,8 +4,11 @@
 //! skylines" (paper, Section IV): the global diagram shares the quadrant
 //! diagram's cell grid, and each cell's result is the union of the four
 //! per-quadrant results. This module runs a chosen quadrant engine on the
-//! four axis reflections of the dataset and unions the per-cell results,
-//! so every quadrant engine doubles as a global engine.
+//! axis reflections of the dataset and unions the per-cell results, so
+//! every quadrant engine doubles as a global engine. The first quadrant is
+//! the identity reflection: [`build_around`] takes an already-built
+//! quadrant diagram (the one [`crate::index`] keeps anyway) and builds only
+//! the three reflected orthants.
 //!
 //! The union phase re-encodes each per-quadrant interner as a flat bitset
 //! arena once (`global.encode` span) and then takes every cell union
@@ -16,18 +19,18 @@
 //!
 //! # Parallel engine
 //!
-//! The four reflected quadrant builds are independent (the per-orthant
+//! The reflected quadrant builds are independent (the per-orthant
 //! fan-out of Definition 2) and run through [`crate::parallel`]; the union
 //! phase is then row-banded: each row worker walks its cells, reuses the
 //! previous cell's union whenever the 4-tuple of per-quadrant result ids is
-//! unchanged (unions only change where a grid line carries a point), and
-//! hands back collapsed [`BitRuns`]. The sequential
+//! unchanged, and hands back [`BitRuns`] that collapse consecutive equal
+//! unions. The sequential
 //! stitch interns the runs in row-major order, which both dedups storage
-//! and keeps the output identical for every thread count. `threads = 0`
-//! runs a full-grid accumulation loop as the deterministic reference path.
+//! and keeps the output identical for every thread count; `threads = 0`
+//! runs the same rows inline.
 
 use crate::diagram::CellDiagram;
-use crate::geometry::{CellGrid, Dataset};
+use crate::geometry::Dataset;
 use crate::parallel::{self, ParallelConfig};
 use crate::quadrant::QuadrantEngine;
 use crate::result_set::{
@@ -47,17 +50,34 @@ pub fn build(dataset: &Dataset, engine: QuadrantEngine) -> CellDiagram {
 }
 
 /// Builds the global skyline diagram with an explicit parallel
-/// configuration. `threads = 0` is the sequential reference path; all
-/// configurations produce identical diagrams (differentially tested).
+/// configuration: the first-quadrant diagram, then [`build_around`] it.
+/// All configurations produce identical diagrams (differentially tested).
 pub fn build_with(dataset: &Dataset, engine: QuadrantEngine, cfg: &ParallelConfig) -> CellDiagram {
+    build_around(dataset, &engine.build_with(dataset, cfg), engine, cfg)
+}
+
+/// Builds the global skyline diagram around `q1`, a quadrant diagram of
+/// `dataset`: only the three reflected orthants are built (with `engine`),
+/// then unioned with `q1` cell by cell. The output does not depend on how
+/// `q1` numbers its results, so any engine's (or a loaded) quadrant
+/// diagram gives the same diagram as [`build_with`].
+pub fn build_around(
+    dataset: &Dataset,
+    q1: &CellDiagram,
+    engine: QuadrantEngine,
+    cfg: &ParallelConfig,
+) -> CellDiagram {
+    debug_assert!(
+        {
+            let grid = crate::geometry::CellGrid::new(dataset);
+            grid.x_lines() == q1.grid().x_lines() && grid.y_lines() == q1.grid().y_lines()
+        },
+        "build_around() requires a quadrant diagram built over the same dataset"
+    );
     let _build = crate::span!("global.build", dataset.len() as u64);
     let _mem = crate::telemetry::mem::phase(crate::telemetry::mem::MemPhase::GlobalBuild);
     crate::counter!("global.builds").add(1);
-    let diagram = if cfg.is_sequential() {
-        build_sequential(dataset, engine)
-    } else {
-        build_parallel(dataset, engine, cfg)
-    };
+    let diagram = union_orthants(dataset, q1, engine, cfg);
     // Debug builds spot-check the output against the from-scratch oracle and
     // the Definition 2 union (see `crate::invariants`); release builds pay
     // nothing.
@@ -89,115 +109,70 @@ fn reflect(dataset: &Dataset, flip_x: bool, flip_y: bool) -> Dataset {
     .expect("reflection preserves dataset validity and coordinate bounds")
 }
 
-/// The four per-quadrant diagrams re-encoded as bitset arenas (one block per
-/// interned result, id-for-id), ready for word-parallel cell unions.
-fn encode_quadrants(quadrants: &[CellDiagram], words: usize) -> Vec<Vec<u64>> {
-    let _encode = crate::span!("global.encode", quadrants.len() as u64);
-    quadrants
-        .iter()
-        .map(|q| encode_results(q.results(), words))
-        .collect()
-}
-
-/// The per-quadrant result block for cell `(i, j)` of the original grid.
-#[inline]
-fn quadrant_block<'a>(
-    quadrants: &[CellDiagram],
-    arenas: &'a [Vec<u64>],
-    grid: &CellGrid,
-    words: usize,
-    q: usize,
-    i: u32,
-    j: u32,
-) -> (&'a [u64], ResultId) {
-    let (flip_x, flip_y) = REFLECTIONS[q];
-    let ri = if flip_x { grid.nx() - i } else { i };
-    let rj = if flip_y { grid.ny() - j } else { j };
-    let rid = quadrants[q].result_id((ri, rj));
-    let start = rid.0 as usize * words;
-    (&arenas[q][start..start + words], rid)
-}
-
-/// The deterministic sequential reference: four sequential quadrant builds,
-/// then one word-parallel union pass over the full grid.
-fn build_sequential(dataset: &Dataset, engine: QuadrantEngine) -> CellDiagram {
-    let grid = CellGrid::new(dataset);
+/// Per-orthant fan-out of the three reflections, then row-banded
+/// word-parallel 4-way unions memoized over unchanged result-id tuples.
+fn union_orthants(
+    dataset: &Dataset,
+    q1: &CellDiagram,
+    engine: QuadrantEngine,
+    cfg: &ParallelConfig,
+) -> CellDiagram {
+    let grid = q1.grid().clone();
     let words = words_for(dataset.len());
     let width = grid.nx() as usize + 1;
     let height = grid.ny() as usize + 1;
 
-    let quadrants: Vec<CellDiagram> = REFLECTIONS
-        .iter()
-        .map(|&(flip_x, flip_y)| {
-            engine.build_with(
-                &reflect(dataset, flip_x, flip_y),
-                &ParallelConfig::sequential(),
-            )
-        })
-        .collect();
-    let arenas = encode_quadrants(&quadrants, words);
-
-    let _union = crate::span!("global.union", (width * height) as u64);
-    let mut bits = BitsetInterner::new(words);
-    let mut scratch = vec![0u64; words];
-    let mut cells = Vec::with_capacity(width * height);
-    for j in 0..height as u32 {
-        for i in 0..width as u32 {
-            let blocks: [&[u64]; 4] = std::array::from_fn(|q| {
-                quadrant_block(&quadrants, &arenas, &grid, words, q, i, j).0
-            });
-            union4_words(blocks[0], blocks[1], blocks[2], blocks[3], &mut scratch);
-            cells.push(ResultId(bits.intern_words(&scratch)));
-        }
-    }
-    CellDiagram::from_parts(grid, bits.to_result_interner(), cells)
-}
-
-/// The parallel engine: per-orthant fan-out, then row-banded word-parallel
-/// 4-way unions memoized over unchanged result-id tuples.
-fn build_parallel(dataset: &Dataset, engine: QuadrantEngine, cfg: &ParallelConfig) -> CellDiagram {
-    let grid = CellGrid::new(dataset);
-    let words = words_for(dataset.len());
-    let width = grid.nx() as usize + 1;
-    let height = grid.ny() as usize + 1;
-
-    // Per-orthant fan-out; each orthant build keeps the caller's parallel
-    // configuration so the engines' restructured parallel formulations (e.g.
-    // the scanning engine's independent-row algorithm) apply inside the
-    // workers too.
-    let quadrants: Vec<CellDiagram> = {
-        let _fanout = crate::span!("global.fanout", 4);
-        parallel::map(cfg, &REFLECTIONS, |&(flip_x, flip_y)| {
+    // Each orthant build keeps the caller's parallel configuration so the
+    // engines' row-band formulations apply inside the workers too.
+    let reflected: Vec<CellDiagram> = {
+        let _fanout = crate::span!("global.fanout", 3);
+        parallel::map(cfg, &REFLECTIONS[1..], |&(flip_x, flip_y)| {
             let _orthant = crate::span!("global.orthant");
             engine.build_with(&reflect(dataset, flip_x, flip_y), cfg)
         })
     };
-    let arenas = encode_quadrants(&quadrants, words);
+    let quadrants: [&CellDiagram; 4] = [q1, &reflected[0], &reflected[1], &reflected[2]];
+    // One bitset arena per quadrant, id-for-id with its interner.
+    let arenas: Vec<Vec<u64>> = {
+        let _encode = crate::span!("global.encode", 4);
+        quadrants
+            .iter()
+            .map(|q| encode_results(q.results(), words))
+            .collect()
+    };
 
     let rows: Vec<BitRuns> = {
         let _union = crate::span!("global.union", height as u64);
         parallel::map_indexed(cfg, height, |j| {
-            let j = j as u32;
+            // Row j of the original grid is row j (or its mirror) of each
+            // reflected grid, read left to right (or right to left).
+            let rows: [&[ResultId]; 4] = std::array::from_fn(|q| {
+                let rj = if REFLECTIONS[q].1 { height - 1 - j } else { j };
+                &quadrants[q].cell_results()[rj * width..(rj + 1) * width]
+            });
             let mut runs = BitRuns::new(words);
             let mut prev_tuple: Option<[ResultId; 4]> = None;
             let mut out = vec![0u64; words];
-            for i in 0..width as u32 {
-                let mut blocks: [&[u64]; 4] = [&[]; 4];
+            let mut misses = 0u64;
+            for i in 0..width {
                 let tuple: [ResultId; 4] = std::array::from_fn(|q| {
-                    let (block, rid) = quadrant_block(&quadrants, &arenas, &grid, words, q, i, j);
-                    blocks[q] = block;
-                    rid
+                    rows[q][if REFLECTIONS[q].0 { width - 1 - i } else { i }]
                 });
                 if prev_tuple == Some(tuple) {
-                    crate::counter!("global.union.memo_hit").add(1);
                     runs.push_repeat(1);
                     continue;
                 }
-                crate::counter!("global.union.memo_miss").add(1);
+                misses += 1;
                 prev_tuple = Some(tuple);
-                union4_words(blocks[0], blocks[1], blocks[2], blocks[3], &mut out);
+                let block = |q: usize| {
+                    let start = tuple[q].0 as usize * words;
+                    &arenas[q][start..start + words]
+                };
+                union4_words(block(0), block(1), block(2), block(3), &mut out);
                 runs.push_words(&out);
             }
+            crate::counter!("global.union.memo_hit").add(width as u64 - misses);
+            crate::counter!("global.union.memo_miss").add(misses);
             runs
         })
     };

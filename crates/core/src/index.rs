@@ -60,8 +60,8 @@ impl SkylineIndexBuilder {
         self
     }
 
-    /// Also build the global diagram (4 reflected runs; ~5–15× the
-    /// quadrant cost).
+    /// Also build the global diagram (3 more reflected quadrant runs around
+    /// the quadrant diagram, then a per-cell union).
     pub fn with_global(mut self, yes: bool) -> Self {
         self.with_global = yes;
         self
@@ -90,7 +90,8 @@ impl SkylineIndexBuilder {
 
     /// Assembles an index around an already-built quadrant diagram,
     /// constructing only the remaining parts (polyomino merge, optional
-    /// global/dynamic diagrams).
+    /// global/dynamic diagrams). The global diagram reuses `quadrant` as
+    /// its first orthant ([`crate::global::build_around`]).
     ///
     /// `quadrant` must be a quadrant diagram of `dataset` — callers such as
     /// `MaintainedIndex`-backed servers reuse the diagram from their last
@@ -114,7 +115,7 @@ impl SkylineIndexBuilder {
         };
         let global = self
             .with_global
-            .then(|| crate::global::build_with(dataset, self.engine, cfg));
+            .then(|| crate::global::build_around(dataset, &quadrant, self.engine, cfg));
         let dynamic = self
             .with_dynamic
             .then(|| self.dynamic_engine.build_with(dataset, cfg));
@@ -356,5 +357,25 @@ mod tests {
             .dynamic_diagram()
             .unwrap()
             .same_results(d.dynamic_diagram().unwrap()));
+        // The assembled global diagram is built around the index's quadrant
+        // diagram; it must equal a from-scratch global build id for id.
+        for ds in [
+            hotel(),
+            crate::test_data::lcg_dataset(40, 1000, 5),
+            crate::test_data::lcg_dataset(40, 6, 301),
+        ] {
+            for engine in [QuadrantEngine::Sweeping, QuadrantEngine::Scanning] {
+                let index = SkylineIndex::builder()
+                    .engine(engine)
+                    .with_global(true)
+                    .build(&ds);
+                let assembled = index.global_diagram().unwrap();
+                let fresh = crate::global::build_with(&ds, engine, &ParallelConfig::sequential());
+                assert!(assembled.same_results(&fresh), "{}", engine.name());
+                assert_eq!(assembled.cell_results(), fresh.cell_results());
+                assert_eq!(assembled.results().ends(), fresh.results().ends());
+                assert_eq!(assembled.results().flat_ids(), fresh.results().flat_ids());
+            }
+        }
     }
 }

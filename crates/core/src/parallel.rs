@@ -40,6 +40,11 @@
 //!   bands with skewed per-row work — e.g. sweeping rows weighted by anchor
 //!   count — still balance.
 //!
+//! [`join`] is the two-task form for work that is not a list of like
+//! items: it runs one closure on the caller and the other on one scoped
+//! worker (the snapshot container decodes its checksums beside its
+//! payloads this way).
+//!
 //! # Configuration
 //!
 //! [`ParallelConfig::from_env`] reads `SKYLINE_THREADS` once per process:
@@ -74,6 +79,7 @@
 //! latter's spread across workers is the stitch-imbalance signal). Probes
 //! never alter scheduling or output: the differential tests pin
 //! bit-identical results with telemetry on, off, and recording mid-flight.
+//! A [`join`] records a `pool.join` span and counts `pool.joins`.
 
 use crate::sync::{AtomicUsize, OnceLock, Ordering};
 use std::num::NonZeroUsize;
@@ -342,6 +348,35 @@ where
     out
 }
 
+/// Runs `a` and `b`, `b` on a scoped worker when `cfg` allows two, and
+/// returns both results. Sequential configurations run `a` then `b` inline
+/// on the caller. A panic in either closure propagates to the caller after
+/// both finish.
+pub fn join<A, B, RA, RB>(cfg: &ParallelConfig, a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    if cfg.is_sequential() || cfg.workers_for(2) <= 1 {
+        return (a(), b());
+    }
+    let _region = crate::span!("pool.join");
+    crate::counter!("pool.joins").add(1);
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| {
+            let _worker = crate::span!("pool.worker");
+            let _mem = crate::telemetry::mem::phase(crate::telemetry::mem::MemPhase::PoolWorker);
+            b()
+        });
+        let ra = a();
+        match worker.join() {
+            Ok(rb) => (ra, rb),
+            Err(panic) => std::panic::resume_unwind(panic),
+        }
+    })
+}
+
 /// Maps a slice through `f` with the same ordering and distribution
 /// guarantees as [`map_indexed`].
 pub fn map<T, R, F>(cfg: &ParallelConfig, items: &[T], f: F) -> Vec<R>
@@ -437,6 +472,16 @@ mod tests {
         // All-zero costs still cover every item exactly once.
         let ends = weighted_ends(&[0u64; 10], 2);
         assert_eq!(*ends.last().unwrap(), 10);
+    }
+
+    #[test]
+    fn join_returns_both_results_at_every_thread_count() {
+        for threads in [0, 1, 2, 4] {
+            let cfg = ParallelConfig::with_threads(threads);
+            let (a, b) = join(&cfg, || (0..100u64).sum::<u64>(), || vec![threads; 3]);
+            assert_eq!(a, 4950);
+            assert_eq!(b, vec![threads; 3]);
+        }
     }
 
     #[test]

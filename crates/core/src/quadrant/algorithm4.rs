@@ -195,10 +195,9 @@ mod tests {
             let swept = crate::quadrant::sweeping::build(&ds);
             // Swept polyominoes include exactly one empty-result region
             // (beyond all points); the literal walks cover the rest.
-            let nonempty = swept
-                .merged
+            let nonempty = merge(&swept)
                 .iter()
-                .filter(|p| !swept.cell_diagram.results().get(p.result).is_empty())
+                .filter(|p| !swept.results().get(p.result).is_empty())
                 .count();
             assert_eq!(literal.len(), nonempty, "seed {seed}");
         }
@@ -210,7 +209,8 @@ mod tests {
             let ds = general_position_dataset(10, seed);
             let literal = build(&ds).unwrap();
             let swept = crate::quadrant::sweeping::build(&ds);
-            let grid = swept.cell_diagram.grid();
+            let merged = merge(&swept);
+            let grid = swept.grid();
             let wall_x = ds.points().iter().map(|p| p.x).min().unwrap() - 1;
             let wall_y = ds.points().iter().map(|p| p.y).min().unwrap() - 1;
             let clip = ClipBox {
@@ -223,8 +223,7 @@ mod tests {
             // corner: the swept polyomino whose cells' maximal corner is
             // the literal corner.
             for vp in &literal {
-                let poly = swept
-                    .merged
+                let poly = merged
                     .iter()
                     .find(|poly| {
                         let (_, _, max_i, max_j) = poly.bounding_box();
@@ -291,8 +290,8 @@ mod tests {
         // Cross-check against the swept diagram's nonempty-cell area in
         // the same wall-based clip.
         let swept = crate::quadrant::sweeping::build(&ds);
-        let merged = merge(&swept.cell_diagram);
-        let grid = swept.cell_diagram.grid();
+        let merged = merge(&swept);
+        let grid = swept.grid();
         let wall_x = ds.points().iter().map(|p| p.x).min().unwrap() - 1;
         let wall_y = ds.points().iter().map(|p| p.y).min().unwrap() - 1;
         let clip = ClipBox {
@@ -303,7 +302,7 @@ mod tests {
         };
         let mut swept_total = 0i64;
         for poly in merged.iter() {
-            if swept.cell_diagram.results().get(poly.result).is_empty() {
+            if swept.results().get(poly.result).is_empty() {
                 continue;
             }
             for walk in boundary_loops(grid, poly.cells, clip) {

@@ -18,8 +18,6 @@ pub mod sweeping;
 use crate::diagram::CellDiagram;
 use crate::geometry::Dataset;
 
-pub use sweeping::SweptDiagram;
-
 /// Selector for the quadrant-diagram engines, used by benches and the
 /// experiments harness to sweep all algorithms uniformly.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -98,7 +96,7 @@ impl QuadrantEngine {
             QuadrantEngine::Baseline => baseline::build(dataset),
             QuadrantEngine::DirectedSkylineGraph => dsg_algorithm::build(dataset),
             QuadrantEngine::Scanning => scanning::build_with(dataset, cfg),
-            QuadrantEngine::Sweeping => sweeping::build_with(dataset, cfg).cell_diagram,
+            QuadrantEngine::Sweeping => sweeping::build_with(dataset, cfg),
         };
         // Debug builds spot-check the output against the from-scratch oracle
         // (see `crate::invariants`); release builds pay nothing.

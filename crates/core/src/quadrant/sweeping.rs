@@ -24,83 +24,83 @@
 //! sweep per horizontal line: `O(n²)` plus the size of the output, versus
 //! the `O(n³)` of the per-cell engines.
 
-use std::collections::HashMap;
-
-use crate::diagram::{merge::merge, CellDiagram, MergedDiagram};
+use crate::diagram::CellDiagram;
 use crate::geometry::{CellGrid, Coord, Dataset, PointId};
 use crate::parallel::{self, ParallelConfig};
 use crate::result_set::{ResultId, ResultInterner};
 
-/// Output of the sweeping engine: the per-cell diagram (for interoperability
-/// with the other engines) plus the polyomino partition it found directly.
-#[derive(Clone, Debug)]
-#[must_use]
-pub struct SweptDiagram {
-    /// Cell-level view, identical in content to the other engines' output.
-    pub cell_diagram: CellDiagram,
-    /// The polyominoes, grouped by region corner during the sweep.
-    pub merged: MergedDiagram,
-}
-
 /// Builds the quadrant skyline diagram by sweeping, with the process-wide
 /// parallel configuration (`SKYLINE_THREADS`).
-pub fn build(dataset: &Dataset) -> SweptDiagram {
+pub fn build(dataset: &Dataset) -> CellDiagram {
     build_with(dataset, &ParallelConfig::from_env())
 }
 
 /// Builds the quadrant skyline diagram by sweeping with an explicit parallel
 /// configuration. After the shared corner DP and the one descending-x sort,
 /// the horizontal lines are independent row bands: workers sweep lines and
-/// return raw per-anchor staircases, and the caller interns them in a fixed
+/// return raw per-anchor staircases, and the caller numbers them in a fixed
 /// line order — so every thread count (including the sequential reference)
-/// produces an identical diagram.
-pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> SweptDiagram {
+/// produces an identical diagram. The diagram's interner is read-only (see
+/// [`ResultInterner::to_readonly`]); the polyominoes are the merge of the
+/// returned diagram ([`crate::diagram::merge::merge`]).
+pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> CellDiagram {
     let grid = CellGrid::new(dataset);
     let width = grid.nx() as usize + 1;
     let height = grid.ny() as usize + 1;
 
     let corner_dp_span = crate::span!("sweeping.corner_dp", (width * height) as u64);
     // Corner DP: for each cell, the (min x-rank, min y-rank) over its
-    // first-quadrant points, or RANK_INF when the quadrant is empty.
+    // first-quadrant points, or RANK_INF when the quadrant is empty. Each
+    // point seeds its own grid intersection; the DP then takes minima from
+    // the right and upper neighbours.
     const RANK_INF: u32 = u32::MAX;
     let mut corner_x = vec![RANK_INF; width * height];
     let mut corner_y = vec![RANK_INF; width * height];
+    for id in dataset.ids() {
+        let (rx, ry) = (grid.xrank(id), grid.yrank(id));
+        let idx = ry as usize * width + rx as usize;
+        corner_x[idx] = rx;
+        corner_y[idx] = ry;
+    }
     for j in (0..height - 1).rev() {
         for i in (0..width - 1).rev() {
             let idx = j * width + i;
-            let mut cx = corner_x[idx + 1].min(corner_x[idx + width]);
-            let mut cy = corner_y[idx + 1].min(corner_y[idx + width]);
-            if !grid.points_at_corner(i as u32, j as u32).is_empty() {
-                cx = cx.min(i as u32);
-                cy = cy.min(j as u32);
-            }
-            corner_x[idx] = cx;
-            corner_y[idx] = cy;
+            corner_x[idx] = corner_x[idx]
+                .min(corner_x[idx + 1])
+                .min(corner_x[idx + width]);
+            corner_y[idx] = corner_y[idx]
+                .min(corner_y[idx + 1])
+                .min(corner_y[idx + width]);
         }
     }
 
     // Attach a skyline result to every distinct corner. Corners sharing a
-    // y rank are served by one rightmost-to-leftmost staircase sweep; the
-    // lines are gathered into a y-rank-sorted vector so both the worker
-    // schedule and the interning order below are deterministic.
-    let mut anchors_by_y: HashMap<u32, Vec<u32>> = HashMap::new();
-    for idx in 0..width * height {
-        if corner_x[idx] != RANK_INF {
-            anchors_by_y
-                .entry(corner_y[idx])
-                .or_default()
-                .push(corner_x[idx]);
+    // y rank are served by one rightmost-to-leftmost staircase sweep. A
+    // dense (y-rank, x-rank) table marks the corners, so reading it row by
+    // row lists the lines in ascending y rank with ascending anchors: both
+    // the worker schedule and the numbering below are deterministic.
+    let mut is_corner = vec![false; width * height];
+    for (&cx, &cy) in corner_x.iter().zip(&corner_y) {
+        if cx != RANK_INF {
+            is_corner[cy as usize * width + cx as usize] = true;
         }
     }
-    let mut lines: Vec<(u32, Vec<u32>)> = anchors_by_y
-        .into_iter()
-        .map(|(ry, mut anchors)| {
-            anchors.sort_unstable();
-            anchors.dedup();
-            (ry, anchors)
-        })
-        .collect();
-    lines.sort_unstable_by_key(|&(ry, _)| ry);
+    let mut line_ry: Vec<u32> = Vec::new();
+    let mut line_ends: Vec<usize> = Vec::new();
+    let mut anchors: Vec<u32> = Vec::new();
+    for (ry, row) in is_corner.chunks_exact(width).enumerate() {
+        let before = anchors.len();
+        anchors.extend((0..width as u32).filter(|&rx| row[rx as usize]));
+        if anchors.len() > before {
+            line_ry.push(ry as u32);
+            line_ends.push(anchors.len());
+        }
+    }
+    drop(is_corner);
+    let line_anchors = |l: usize| {
+        let start = if l == 0 { 0 } else { line_ends[l - 1] };
+        &anchors[start..line_ends[l]]
+    };
 
     // Points sorted by descending x (then descending y) once, reused by
     // every per-line sweep.
@@ -111,62 +111,73 @@ pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> SweptDiagram {
     });
 
     drop(corner_dp_span);
-    crate::counter!("sweeping.lines").add(lines.len() as u64);
+    crate::counter!("sweeping.lines").add(line_ry.len() as u64);
 
     // Row-band parallelism: each line sweep is independent given the shared
-    // sort; raw staircases come back per line and are interned in line order.
-    let swept: Vec<Vec<(u32, Vec<PointId>)>> = {
-        let _sweep = crate::span!("sweeping.sweep", lines.len() as u64);
-        parallel::map(cfg, &lines, |(ry, anchors)| {
-            sweep_line(dataset, &grid, &by_x_desc, *ry, anchors)
+    // sort; staircases come back per line and are numbered in line order.
+    let swept: Vec<SweptLine> = {
+        let _sweep = crate::span!("sweeping.sweep", line_ry.len() as u64);
+        parallel::map_indexed(cfg, line_ry.len(), |l| {
+            sweep_line(dataset, &grid, &by_x_desc, line_ry[l], line_anchors(l))
         })
     };
 
+    // A corner is its result's (min x-rank, min y-rank): among the quadrant
+    // points, the lowest of the leftmost ones and the leftmost of the lowest
+    // ones are both skyline. So distinct corners have distinct, non-empty
+    // results, and the staircases go straight into the CSR arena in line
+    // order after the empty result (id 0) — the ids interning would assign,
+    // without a lookup.
     let _intern = crate::span!("sweeping.intern");
-    let mut results = ResultInterner::new();
-    let mut corner_result: HashMap<(u32, u32), ResultId> = HashMap::new();
-    for ((ry, _), line) in lines.iter().zip(&swept) {
-        for (anchor, ids) in line {
-            let rid = results.intern_unsorted(ids.clone());
-            corner_result.insert((*anchor, *ry), rid);
+    let mut flat: Vec<PointId> = Vec::with_capacity(swept.iter().map(|line| line.ids.len()).sum());
+    let mut ends: Vec<u32> = Vec::with_capacity(anchors.len() + 1);
+    ends.push(0);
+    let mut corner_result = vec![0u32; width * height];
+    for (l, line) in swept.iter().enumerate() {
+        let row = line_ry[l] as usize * width;
+        let base = flat.len() as u32;
+        flat.extend_from_slice(&line.ids);
+        // A line's staircases run from its rightmost anchor leftwards.
+        for (&anchor, &end) in line_anchors(l).iter().rev().zip(&line.ends) {
+            corner_result[row + anchor as usize] = ends.len() as u32;
+            ends.push(base + end);
         }
     }
+    let results = ResultInterner::from_csr_readonly(flat, ends)
+        .expect("staircases are strictly sorted runs of the arena");
 
-    // Fill the per-cell diagram from the corner results.
-    let empty = results.empty();
-    let cells: Vec<ResultId> = (0..width * height)
-        .map(|idx| {
-            if corner_x[idx] == RANK_INF {
-                empty
-            } else {
-                corner_result[&(corner_x[idx], corner_y[idx])]
-            }
-        })
-        .collect();
-    let cell_diagram = CellDiagram::from_parts(grid, results, cells);
-
-    // The polyominoes are the connected components of equal corners, which
-    // coincide with equal-result components (module docs); reuse the shared
-    // merge to produce them in the common format.
-    let merged = merge(&cell_diagram);
-    SweptDiagram {
-        cell_diagram,
-        merged,
+    // Fill the per-cell diagram from the corner results, in place over the
+    // x half of the corner field.
+    for (cell, &cy) in corner_x.iter_mut().zip(&corner_y) {
+        *cell = if *cell == RANK_INF {
+            results.empty().0
+        } else {
+            corner_result[cy as usize * width + *cell as usize]
+        };
     }
+    let cells = corner_x.into_iter().map(ResultId).collect();
+    CellDiagram::from_parts(grid, results, cells)
+}
+
+/// One line's staircases, one per anchor in descending anchor order:
+/// staircase `k` is `ids[ends[k-1]..ends[k]]`, sorted by id.
+struct SweptLine {
+    ids: Vec<PointId>,
+    ends: Vec<u32>,
 }
 
 /// One horizontal line's sweep: for every anchor x-rank on line `ry`
 /// (ascending), the result is the staircase of points with
 /// `yrank >= ry` and `xrank >= anchor`. Sweeps anchors in descending order
-/// while inserting points right-to-left, returning each anchor's raw
-/// (unsorted) staircase for the caller to intern.
+/// while inserting points right-to-left, recording each anchor's staircase
+/// for the caller to intern.
 fn sweep_line(
     dataset: &Dataset,
     grid: &CellGrid,
     by_x_desc: &[PointId],
     ry: u32,
     anchors: &[u32],
-) -> Vec<(u32, Vec<PointId>)> {
+) -> SweptLine {
     // Staircase stack: x descending insertion order; invariant x ascending /
     // y strictly descending from bottom to top... inserted points have the
     // smallest x so far, so the live stack is ordered by insertion time with
@@ -175,7 +186,10 @@ fn sweep_line(
     // strictly smaller x dominates, so `>=` evicts; exact duplicates are
     // handled by keeping same-(x, y) runs together.
     let mut stack: Vec<(Coord, PointId)> = Vec::new();
-    let mut out = Vec::with_capacity(anchors.len());
+    let mut out = SweptLine {
+        ids: Vec::new(),
+        ends: Vec::with_capacity(anchors.len()),
+    };
     let mut pt = 0usize;
     for &anchor in anchors.iter().rev() {
         // Insert all points with xrank >= anchor (and yrank >= ry).
@@ -201,7 +215,10 @@ fn sweep_line(
             }
             stack.push((p.y, id));
         }
-        out.push((anchor, stack.iter().map(|&(_, id)| id).collect()));
+        let start = out.ids.len();
+        out.ids.extend(stack.iter().map(|&(_, id)| id));
+        out.ids[start..].sort_unstable();
+        out.ends.push(out.ids.len() as u32);
     }
     out
 }
@@ -209,12 +226,13 @@ fn sweep_line(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::diagram::merge::merge;
     use crate::quadrant::baseline;
 
     #[test]
     fn matches_baseline_on_hotel_example() {
         let ds = crate::test_data::hotel_dataset();
-        assert!(build(&ds).cell_diagram.same_results(&baseline::build(&ds)));
+        assert!(build(&ds).same_results(&baseline::build(&ds)));
     }
 
     #[test]
@@ -222,7 +240,7 @@ mod tests {
         for seed in 0..5 {
             let ds = crate::test_data::lcg_dataset(40, 1000, seed);
             assert!(
-                build(&ds).cell_diagram.same_results(&baseline::build(&ds)),
+                build(&ds).same_results(&baseline::build(&ds)),
                 "seed {seed}"
             );
         }
@@ -233,7 +251,7 @@ mod tests {
         for seed in 0..5 {
             let ds = crate::test_data::lcg_dataset(40, 6, 300 + seed);
             assert!(
-                build(&ds).cell_diagram.same_results(&baseline::build(&ds)),
+                build(&ds).same_results(&baseline::build(&ds)),
                 "seed {seed}"
             );
         }
@@ -242,11 +260,11 @@ mod tests {
     #[test]
     fn polyominoes_match_merged_baseline() {
         let ds = crate::test_data::hotel_dataset();
-        let swept = build(&ds);
+        let swept = merge(&build(&ds));
         let merged_baseline = merge(&baseline::build(&ds));
-        assert_eq!(swept.merged.len(), merged_baseline.len());
+        assert_eq!(swept.len(), merged_baseline.len());
         // Same cell partition: components must contain identical cell sets.
-        let mut a: Vec<_> = swept.merged.iter().map(|p| p.cells.to_vec()).collect();
+        let mut a: Vec<_> = swept.iter().map(|p| p.cells.to_vec()).collect();
         let mut b: Vec<_> = merged_baseline.iter().map(|p| p.cells.to_vec()).collect();
         a.sort();
         b.sort();
@@ -257,11 +275,8 @@ mod tests {
     fn exact_duplicates_stay_in_results() {
         let ds = Dataset::from_coords([(5, 5), (5, 5), (2, 8)]).unwrap();
         let swept = build(&ds);
-        assert!(swept.cell_diagram.same_results(&baseline::build(&ds)));
-        assert_eq!(
-            swept.cell_diagram.result((0, 0)),
-            &[PointId(0), PointId(1), PointId(2)]
-        );
+        assert!(swept.same_results(&baseline::build(&ds)));
+        assert_eq!(swept.result((0, 0)), &[PointId(0), PointId(1), PointId(2)]);
     }
 
     #[test]
@@ -271,11 +286,13 @@ mod tests {
             let reference = build_with(&ds, &ParallelConfig::sequential());
             for threads in [1, 2, 3, 8] {
                 let swept = build_with(&ds, &ParallelConfig::with_threads(threads));
-                assert!(
-                    swept.cell_diagram.same_results(&reference.cell_diagram),
+                assert_eq!(
+                    swept.cell_results(),
+                    reference.cell_results(),
                     "threads = {threads}, seed = {seed}"
                 );
-                assert_eq!(swept.merged.len(), reference.merged.len());
+                assert_eq!(swept.results().ends(), reference.results().ends());
+                assert_eq!(swept.results().flat_ids(), reference.results().flat_ids());
             }
         }
     }
@@ -284,8 +301,9 @@ mod tests {
     fn polyomino_count_is_at_most_cell_count() {
         let ds = crate::test_data::lcg_dataset(60, 100, 9);
         let swept = build(&ds);
-        assert!(swept.merged.len() <= swept.cell_diagram.grid().cell_count());
+        let merged = merge(&swept);
+        assert!(merged.len() <= swept.grid().cell_count());
         // ... and strictly smaller here: merging must achieve something.
-        assert!(swept.merged.len() < swept.cell_diagram.grid().cell_count());
+        assert!(merged.len() < swept.grid().cell_count());
     }
 }

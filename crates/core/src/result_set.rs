@@ -30,6 +30,7 @@
 //! buffers replayed by the deterministic single-threaded stitch.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use crate::geometry::PointId;
 
@@ -61,6 +62,77 @@ fn fnv1a_words(words: &[u64]) -> u64 {
     h
 }
 
+/// The hasher of [`HashChains::heads`]. Its keys are already FNV-1a digests
+/// of whole result sets, so one multiply-xorshift round is enough to spread
+/// them over the table; a keyed hash would buy nothing, because inputs that
+/// collide under FNV-1a land in one chain whatever the table hashes with.
+#[derive(Clone, Copy, Debug, Default)]
+struct DigestHasher(u64);
+
+impl std::hash::Hasher for DigestHasher {
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ (self.0 >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 29)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn write_u64(&mut self, digest: u64) {
+        self.0 = digest;
+    }
+}
+
+/// Ends a hash chain in [`HashChains::next`].
+const CHAIN_END: u32 = u32::MAX;
+
+/// The intern lookup of an append-only arena, without a per-hash
+/// allocation: `heads` maps a hash to the newest id interned under it, and
+/// `next[id]` links each id to the previous one with the same hash. Equal
+/// hashes are resolved by the caller's full comparison, so collisions only
+/// lengthen a chain.
+#[derive(Clone, Debug, Default)]
+struct HashChains {
+    heads: HashMap<u64, u32, BuildHasherDefault<DigestHasher>>,
+    /// Per interned id: the previous id with the same hash, or `CHAIN_END`.
+    next: Vec<u32>,
+}
+
+impl HashChains {
+    /// The first id interned under `hash` (newest first) for which `equal`
+    /// holds.
+    fn find(&self, hash: u64, mut equal: impl FnMut(u32) -> bool) -> Option<u32> {
+        let mut id = *self.heads.get(&hash)?;
+        loop {
+            if equal(id) {
+                return Some(id);
+            }
+            id = self.next[id as usize];
+            if id == CHAIN_END {
+                return None;
+            }
+        }
+    }
+
+    /// Records `id`, the arena's newest entry, under `hash`. Entries adopted
+    /// without a lookup (a read-only arena) get no chain of their own.
+    fn push(&mut self, hash: u64, id: u32) {
+        self.next.resize(id as usize, CHAIN_END);
+        let prev = self.heads.insert(hash, id).unwrap_or(CHAIN_END);
+        self.next.push(prev);
+    }
+
+    /// Heap bytes of the head table (estimated; see
+    /// [`crate::telemetry::mem::map_heap_bytes`]) and the chain links.
+    fn heap_bytes(&self) -> usize {
+        use crate::telemetry::mem::{map_heap_bytes, vec_heap_bytes};
+        map_heap_bytes(&self.heads) + vec_heap_bytes(&self.next)
+    }
+}
+
 /// Deduplicating store of skyline results, laid out as a flat arena.
 ///
 /// Every result is a strictly increasing sequence of [`PointId`]s. The empty
@@ -73,7 +145,8 @@ pub struct ResultInterner {
     flat: Vec<PointId>,
     /// Per result: exclusive end offset into `flat`.
     ends: Vec<u32>,
-    lookup: HashMap<u64, Vec<ResultId>>,
+    /// Empty in a read-only interner.
+    lookup: HashChains,
 }
 
 impl ResultInterner {
@@ -82,7 +155,7 @@ impl ResultInterner {
         let mut interner = ResultInterner {
             flat: Vec::new(),
             ends: Vec::new(),
-            lookup: HashMap::new(),
+            lookup: HashChains::default(),
         };
         let empty = interner.intern_slice(&[]);
         debug_assert_eq!(empty, ResultId(0));
@@ -95,6 +168,8 @@ impl ResultInterner {
     pub fn with_capacity(sets: usize, total_ids: usize) -> Self {
         let mut interner = ResultInterner::new();
         interner.ends.reserve(sets);
+        interner.lookup.heads.reserve(sets);
+        interner.lookup.next.reserve(sets);
         interner.flat.reserve(total_ids);
         interner
     }
@@ -134,18 +209,14 @@ impl ResultInterner {
             "result must be strictly sorted"
         );
         let h = fnv1a(ids);
-        if let Some(bucket) = self.lookup.get(&h) {
-            for &rid in bucket {
-                if self.get(rid) == ids {
-                    return rid;
-                }
-            }
+        if let Some(k) = self.lookup.find(h, |k| self.get(ResultId(k)) == ids) {
+            return ResultId(k);
         }
-        let rid = ResultId(self.ends.len() as u32);
+        let k = self.ends.len() as u32;
         self.flat.extend_from_slice(ids);
         self.ends.push(self.flat.len() as u32);
-        self.lookup.entry(h).or_default().push(rid);
-        rid
+        self.lookup.push(h, k);
+        ResultId(k)
     }
 
     /// The point ids of an interned result, in increasing order.
@@ -169,15 +240,11 @@ impl ResultInterner {
     }
 
     /// Heap bytes owned by the arena: the flat id and offset buffers plus
-    /// the lookup table (estimated; see
-    /// [`crate::telemetry::mem::map_heap_bytes`]) and its per-hash
-    /// collision vectors.
+    /// the lookup's head table (estimated; see
+    /// [`crate::telemetry::mem::map_heap_bytes`]) and chain links.
     pub fn heap_bytes(&self) -> usize {
-        use crate::telemetry::mem::{map_heap_bytes, vec_heap_bytes};
-        vec_heap_bytes(&self.flat)
-            + vec_heap_bytes(&self.ends)
-            + map_heap_bytes(&self.lookup)
-            + self.lookup.values().map(vec_heap_bytes).sum::<usize>()
+        use crate::telemetry::mem::vec_heap_bytes;
+        vec_heap_bytes(&self.flat) + vec_heap_bytes(&self.ends) + self.lookup.heap_bytes()
     }
 
     /// Iterates over `(id, result)` pairs.
@@ -219,34 +286,38 @@ impl ResultInterner {
     /// against the loaded arena stays deduplicating.
     pub fn from_csr(flat: Vec<PointId>, ends: Vec<u32>) -> Result<Self, &'static str> {
         Self::validate_csr(&flat, &ends)?;
-        let mut lookup: HashMap<u64, Vec<ResultId>> = HashMap::with_capacity(ends.len());
-        let mut start = 0usize;
-        for (k, &end) in ends.iter().enumerate() {
-            let run = &flat[start..end as usize];
-            let rid = ResultId(k as u32);
-            let bucket = lookup.entry(fnv1a(run)).or_default();
-            for &prev in bucket.iter() {
-                let pk = prev.0 as usize;
-                let ps = if pk == 0 { 0 } else { ends[pk - 1] as usize };
-                if &flat[ps..ends[pk] as usize] == run {
-                    return Err("duplicate result set in arena");
-                }
+        let mut interner = ResultInterner {
+            flat,
+            ends,
+            lookup: HashChains::default(),
+        };
+        interner.lookup.heads.reserve(interner.ends.len());
+        interner.lookup.next.reserve_exact(interner.ends.len());
+        for k in 0..interner.ends.len() as u32 {
+            let run = interner.get(ResultId(k));
+            let h = fnv1a(run);
+            if interner
+                .lookup
+                .find(h, |prev| interner.get(ResultId(prev)) == run)
+                .is_some()
+            {
+                return Err("duplicate result set in arena");
             }
-            bucket.push(rid);
-            start = end as usize;
+            interner.lookup.push(h, k);
         }
-        Ok(ResultInterner { flat, ends, lookup })
+        Ok(interner)
     }
 
-    /// Adopts checksum-validated CSR arrays *without* rebuilding the intern
-    /// lookup table: the same structural validation as [`Self::from_csr`]
-    /// (CSR laws, strict per-run sortedness) but no duplicate-set scan and
-    /// an empty lookup. The snapshot-container decoder is the only caller —
-    /// a loaded interner is read-only (server mutations rebuild diagrams
-    /// into fresh interners via [`Self::intern_slice`]), so the lookup is
-    /// never consulted, and skipping its reconstruction is most of what
-    /// makes a cold start an order of magnitude faster than a rebuild
-    /// (experiment E14).
+    /// Adopts CSR arrays *without* building the intern lookup table: the
+    /// same structural validation as [`Self::from_csr`] (CSR laws, strict
+    /// per-run sortedness) but no duplicate-set scan and an empty lookup,
+    /// for arenas whose sets are distinct by construction. The snapshot
+    /// container decodes through [`Self::from_le_csr_readonly`] — a loaded
+    /// interner is read-only (server mutations rebuild diagrams into fresh
+    /// interners via [`Self::intern_slice`]), so the lookup is never
+    /// consulted, and skipping its reconstruction is most of what makes a
+    /// cold start an order of magnitude faster than a rebuild (experiment
+    /// E14) — and the sweeping engine builds its arena this way.
     pub(crate) fn from_csr_readonly(
         flat: Vec<PointId>,
         ends: Vec<u32>,
@@ -255,7 +326,7 @@ impl ResultInterner {
         Ok(ResultInterner {
             flat,
             ends,
-            lookup: HashMap::new(),
+            lookup: HashChains::default(),
         })
     }
 
@@ -267,21 +338,59 @@ impl ResultInterner {
         ResultInterner {
             flat: self.flat.clone(),
             ends: self.ends.clone(),
-            lookup: HashMap::new(),
+            lookup: HashChains::default(),
         }
     }
 
     /// Drops the intern lookup table in place (see [`Self::to_readonly`]).
     /// Interning into the result afterwards would no longer deduplicate.
     pub fn into_readonly(mut self) -> Self {
-        self.lookup = HashMap::new();
+        self.lookup = HashChains::default();
         self
+    }
+
+    /// [`Self::from_csr_readonly`] over an id arena still in its
+    /// little-endian container encoding (four bytes per id). The ids are
+    /// decoded a cache-sized block at a time and each block's order is
+    /// checked while it is still in cache, so the arena is streamed from
+    /// memory once.
+    pub(crate) fn from_le_csr_readonly(
+        flat_le: &[u8],
+        ends: Vec<u32>,
+    ) -> Result<Self, &'static str> {
+        /// Ids decoded per block: 16 KiB of output, well inside L1/L2.
+        const BLOCK: usize = 4096;
+        debug_assert_eq!(flat_le.len() % 4, 0, "four bytes per id");
+        let mut flat: Vec<PointId> = Vec::with_capacity(flat_le.len() / 4);
+        let mut descents = 0usize;
+        for block in flat_le.chunks(4 * BLOCK) {
+            let start = flat.len();
+            flat.extend(block.chunks_exact(4).map(|b| {
+                PointId(u32::from_le_bytes(
+                    b.try_into().expect("chunks_exact(4) yields 4-byte slices"),
+                ))
+            }));
+            // Include the pair that straddles the previous block.
+            descents += count_descents(&flat[start.saturating_sub(1)..]);
+        }
+        Self::check_csr(&flat, &ends, descents)?;
+        Ok(ResultInterner {
+            flat,
+            ends,
+            lookup: HashChains::default(),
+        })
     }
 
     /// The structural CSR laws shared by [`Self::from_csr`] and
     /// [`Self::from_csr_readonly`]; duplicate detection is separate because
     /// only the deduplicating constructor needs the hash buckets.
     fn validate_csr(flat: &[PointId], ends: &[u32]) -> Result<(), &'static str> {
+        Self::check_csr(flat, ends, count_descents(flat))
+    }
+
+    /// [`Self::validate_csr`] given `descents`, the number of adjacent
+    /// pairs of `flat` that do not strictly increase.
+    fn check_csr(flat: &[PointId], ends: &[u32], descents: usize) -> Result<(), &'static str> {
         if ends.first() != Some(&0) {
             return Err("the empty result must be interned first (ends[0] == 0)");
         }
@@ -294,15 +403,41 @@ impl ResultInterner {
         if ends.last().map(|&e| e as usize) != Some(flat.len()) {
             return Err("end offsets must cover the id arena exactly");
         }
-        let mut start = 0usize;
+        // Every run is strictly sorted exactly when each descent of the
+        // arena sits on a run boundary (each boundary counted once).
+        let mut boundary_descents = 0usize;
+        let mut prev_end = 0usize;
         for &end in ends {
-            if flat[start..end as usize].windows(2).any(|w| w[0] >= w[1]) {
-                return Err("each result run must be strictly sorted");
+            let end = end as usize;
+            if end != prev_end && end < flat.len() && flat[end - 1] >= flat[end] {
+                boundary_descents += 1;
             }
-            start = end as usize;
+            prev_end = end;
+        }
+        if descents != boundary_descents {
+            return Err("each result run must be strictly sorted");
         }
         Ok(())
     }
+}
+
+/// The number of adjacent pairs of `ids` that do not strictly increase:
+/// one branch-free pass, so it vectorizes. The per-block counters are
+/// `u32` (twice as many vector lanes as `usize`); a block of 2^16 pairs
+/// cannot overflow one.
+fn count_descents(ids: &[PointId]) -> usize {
+    let pairs = ids.len().saturating_sub(1);
+    let (left, right) = (&ids[..pairs], &ids[ids.len() - pairs..]);
+    left.chunks(1 << 16)
+        .zip(right.chunks(1 << 16))
+        .map(|(left, right)| {
+            let mut count = 0u32;
+            for (a, b) in left.iter().zip(right) {
+                count += u32::from(a.0 >= b.0);
+            }
+            count as usize
+        })
+        .sum()
 }
 
 /// The clamped multiset expression of the paper's Theorem 1:
@@ -469,7 +604,7 @@ pub struct BitsetInterner {
     words: usize,
     /// Concatenated blocks of every distinct result, in interning order.
     flat: Vec<u64>,
-    lookup: HashMap<u64, Vec<u32>>,
+    lookup: HashChains,
     /// Reusable block for `intern_ids`.
     scratch: Vec<u64>,
 }
@@ -482,7 +617,7 @@ impl BitsetInterner {
         let mut interner = BitsetInterner {
             words,
             flat: Vec::new(),
-            lookup: HashMap::new(),
+            lookup: HashChains::default(),
             scratch: vec![0u64; words],
         };
         let zeros = vec![0u64; words];
@@ -516,13 +651,10 @@ impl BitsetInterner {
     }
 
     /// Heap bytes owned by the arena: the flat block buffer, the scratch
-    /// block, and the lookup table (estimated) with its collision vectors.
+    /// block, and the lookup's head table (estimated) and chain links.
     pub fn heap_bytes(&self) -> usize {
-        use crate::telemetry::mem::{map_heap_bytes, vec_heap_bytes};
-        vec_heap_bytes(&self.flat)
-            + vec_heap_bytes(&self.scratch)
-            + map_heap_bytes(&self.lookup)
-            + self.lookup.values().map(vec_heap_bytes).sum::<usize>()
+        use crate::telemetry::mem::vec_heap_bytes;
+        vec_heap_bytes(&self.flat) + vec_heap_bytes(&self.scratch) + self.lookup.heap_bytes()
     }
 
     /// The bitset block of an interned result.
@@ -540,16 +672,12 @@ impl BitsetInterner {
     pub fn intern_words(&mut self, block: &[u64]) -> u32 {
         debug_assert_eq!(block.len(), self.words, "block stride mismatch");
         let h = fnv1a_words(block);
-        if let Some(bucket) = self.lookup.get(&h) {
-            for &id in bucket {
-                if self.get_words(id) == block {
-                    return id;
-                }
-            }
+        if let Some(id) = self.lookup.find(h, |id| self.get_words(id) == block) {
+            return id;
         }
         let id = (self.flat.len() / self.words) as u32;
         self.flat.extend_from_slice(block);
-        self.lookup.entry(h).or_default().push(id);
+        self.lookup.push(h, id);
         id
     }
 
@@ -579,16 +707,25 @@ impl BitsetInterner {
     /// per-cell ids against this interner and hand the converted interner
     /// plus the unmodified cell vector to the diagram, so the query,
     /// serialize, and snapshot layers keep seeing sorted-id slices.
+    ///
+    /// The blocks are distinct by construction, so they decode straight
+    /// into the CSR arrays (sized exactly) with no lookup table: the result
+    /// is read-only, the state a published diagram holds (see
+    /// [`ResultInterner::to_readonly`]).
     pub fn to_result_interner(&self) -> ResultInterner {
         let _decode = crate::span!("intern.decode", self.len() as u64);
-        let mut results = ResultInterner::with_capacity(self.len(), 0);
-        let mut ids: Vec<PointId> = Vec::new();
-        for k in 0..self.len() as u32 {
-            self.decode_into(k, &mut ids);
-            let rid = results.intern_slice(&ids);
-            debug_assert_eq!(rid.0, k, "bitset ids must convert id-for-id");
+        let total: usize = self.flat.iter().map(|w| w.count_ones() as usize).sum();
+        let mut flat = Vec::with_capacity(total);
+        let mut ends = Vec::with_capacity(self.len());
+        for block in self.flat.chunks_exact(self.words) {
+            decode_words(block, &mut flat);
+            ends.push(flat.len() as u32);
         }
-        results
+        ResultInterner {
+            flat,
+            ends,
+            lookup: HashChains::default(),
+        }
     }
 }
 
@@ -948,6 +1085,60 @@ mod tests {
         assert_eq!(out, ids(&[1, 64, 69]));
         bits.decode_into(bits.empty(), &mut out);
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn bitset_interner_resolves_hash_collisions() {
+        // FNV-1a over two words: h1 = (h0 ^ w0)·P, h2 = (h1 ^ w1)·P. Any
+        // second block with w1' = w1 ^ h1 ^ h1' reaches the same h2.
+        const H0: u64 = 0xcbf2_9ce4_8422_2325;
+        const P: u64 = 0x0000_0100_0000_01b3;
+        let (w0, w1) = (0b1011u64, 1u64 << 40);
+        let w0b = 0b0110u64;
+        let w1b = w1 ^ (H0 ^ w0).wrapping_mul(P) ^ (H0 ^ w0b).wrapping_mul(P);
+        let (a, b) = ([w0, w1], [w0b, w1b]);
+        assert_ne!(a, b);
+        assert_eq!(fnv1a_words(&a), fnv1a_words(&b));
+
+        let mut bits = BitsetInterner::new(2);
+        let ia = bits.intern_words(&a);
+        let ib = bits.intern_words(&b);
+        assert_ne!(ia, ib);
+        assert_eq!(bits.intern_words(&a), ia);
+        assert_eq!(bits.intern_words(&b), ib);
+        assert_eq!(bits.len(), 3);
+        assert_eq!(bits.get_words(ia), a);
+        assert_eq!(bits.get_words(ib), b);
+    }
+
+    #[test]
+    fn read_only_interner_keeps_interning() {
+        let mut full = ResultInterner::new();
+        let a = full.intern_slice(&ids(&[1, 2]));
+        let mut readonly = full.to_readonly();
+        assert!(readonly.heap_bytes() < full.heap_bytes());
+        // Results adopted without a lookup are not found again, but new
+        // results deduplicate among themselves.
+        let b = readonly.intern_slice(&ids(&[3]));
+        assert_eq!(readonly.intern_slice(&ids(&[3])), b);
+        assert_eq!(readonly.get(a), ids(&[1, 2]).as_slice());
+        assert_eq!(readonly.get(b), ids(&[3]).as_slice());
+        assert_eq!(readonly.len(), 3);
+    }
+
+    #[test]
+    fn csr_validation_rejects_unsorted_runs_behind_empty_ones() {
+        let csr = |flat: &[u32], ends: &[u32]| {
+            ResultInterner::from_csr_readonly(ids(flat), ends.to_vec()).map(|r| r.len())
+        };
+        // Descents on run boundaries are fine, empty runs included.
+        assert_eq!(csr(&[1, 5, 3, 4], &[0, 2, 2, 4]), Ok(4));
+        // A descent inside a run is not, even where an empty run repeats
+        // the boundary just before it.
+        assert!(csr(&[1, 5, 3, 2], &[0, 2, 2, 4]).is_err());
+        assert!(csr(&[1, 5, 3, 3], &[0, 2, 4]).is_err());
+        assert!(csr(&[4, 1], &[0, 2]).is_err());
+        assert!(ResultInterner::from_csr(ids(&[1, 5, 3, 2]), vec![0, 2, 2, 4]).is_err());
     }
 
     #[test]

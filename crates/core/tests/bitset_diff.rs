@@ -112,6 +112,16 @@ proptest! {
         for (rid, ids) in sorted.iter() {
             prop_assert_eq!(converted.get(rid), ids);
         }
+        // The CSR-direct conversion equals re-interning every decoded
+        // block in id order: same ids, same arrays.
+        let mut reinterned = ResultInterner::new();
+        let mut decoded = Vec::new();
+        for k in 0..bits.len() as u32 {
+            bits.decode_into(k, &mut decoded);
+            prop_assert_eq!(reinterned.intern_slice(&decoded).0, k);
+        }
+        prop_assert_eq!(converted.ends(), reinterned.ends());
+        prop_assert_eq!(converted.flat_ids(), reinterned.flat_ids());
         // encode_results is the inverse of the conversion.
         let arena = encode_results(&converted, words);
         for (rid, ids) in sorted.iter() {

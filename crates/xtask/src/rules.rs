@@ -64,7 +64,6 @@ const MUST_USE_TYPES: &[&str] = &[
     "SubcellDiagram",
     "SubcellDiagramD",
     "MergedDiagram",
-    "SweptDiagram",
     "HighDDiagram",
 ];
 

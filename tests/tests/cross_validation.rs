@@ -101,9 +101,9 @@ fn sweeping_polyominoes_equal_merged_cell_diagrams() {
     use skyline_core::diagram::merge::merge;
     for spec in standard_specs(50) {
         let ds = spec.build_2d();
-        let swept = skyline_core::quadrant::sweeping::build(&ds);
+        let swept = merge(&skyline_core::quadrant::sweeping::build(&ds));
         let merged = merge(&QuadrantEngine::Baseline.build(&ds));
-        let mut a: Vec<_> = swept.merged.iter().map(|p| p.cells.to_vec()).collect();
+        let mut a: Vec<_> = swept.iter().map(|p| p.cells.to_vec()).collect();
         let mut b: Vec<_> = merged.iter().map(|p| p.cells.to_vec()).collect();
         a.sort();
         b.sort();

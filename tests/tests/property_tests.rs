@@ -255,10 +255,10 @@ proptest! {
         }
         let ds = Dataset::from_coords((0..n).map(|i| (2 * i as i64, 2 * ys[i]))).unwrap();
         let swept = skyline_core::quadrant::sweeping::build(&ds);
-        let nonempty = swept
-            .merged
+        let merged = skyline_core::diagram::merge::merge(&swept);
+        let nonempty = merged
             .iter()
-            .filter(|p| !swept.cell_diagram.results().get(p.result).is_empty())
+            .filter(|p| !swept.results().get(p.result).is_empty())
             .count();
         let intersections: usize = ds
             .points()
@@ -267,10 +267,9 @@ proptest! {
             .sum();
         prop_assert_eq!(nonempty, intersections);
         // Exactly one empty region (beyond everything), always connected.
-        let empties = swept
-            .merged
+        let empties = merged
             .iter()
-            .filter(|p| swept.cell_diagram.results().get(p.result).is_empty())
+            .filter(|p| swept.results().get(p.result).is_empty())
             .count();
         prop_assert_eq!(empties, 1);
     }
