@@ -9,7 +9,7 @@
 use crate::dynamic::{dynamic_minima_at_sample, SubcellDiagram, SubcellGrid};
 use crate::geometry::{Dataset, PointId};
 use crate::parallel::{self, ParallelConfig};
-use crate::result_set::{ResultInterner, ResultRuns};
+use crate::result_set::{words_for, BitRuns, BitsetInterner};
 
 /// Builds the dynamic skyline diagram with the baseline per-subcell scan,
 /// using the process-wide parallel configuration (`SKYLINE_THREADS`).
@@ -26,27 +26,35 @@ pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> SubcellDiagram {
     let grid = SubcellGrid::new_with(dataset, cfg);
     let width = grid.mx() as usize + 1;
     let height = grid.my() as usize + 1;
+    let words = words_for(dataset.len());
     let all: Vec<PointId> = dataset.ids().collect();
 
     let _bands = crate::span!("dynamic.baseline.bands", height as u64);
     crate::counter!("dynamic.subcell_rows").add(height as u64);
-    let rows: Vec<ResultRuns> = parallel::map_indexed(cfg, height, |j| {
+    let rows: Vec<BitRuns> = parallel::map_indexed(cfg, height, |j| {
         let mut scratch = Vec::with_capacity(dataset.len());
-        let mut runs = ResultRuns::new();
+        let mut block = vec![0u64; words];
+        let mut runs = BitRuns::new(words);
         for i in 0..width as u32 {
             let sample = grid.sample_x4((i, j as u32));
-            let sky = dynamic_minima_at_sample(dataset, all.iter().copied(), sample, &mut scratch);
-            runs.push(&sky);
+            dynamic_minima_at_sample(
+                dataset,
+                all.iter().copied(),
+                sample,
+                &mut scratch,
+                &mut block,
+            );
+            runs.push_words(&block);
         }
         runs
     });
 
-    let mut results = ResultInterner::new();
+    let mut bits = BitsetInterner::new(words);
     let mut cells = Vec::with_capacity(width * height);
     for row in &rows {
-        row.intern_into(&mut results, &mut cells);
+        row.intern_into(&mut bits, &mut cells);
     }
-    SubcellDiagram::from_parts(grid, results, cells)
+    SubcellDiagram::from_parts(grid, bits.to_result_interner(), cells)
 }
 
 #[cfg(test)]

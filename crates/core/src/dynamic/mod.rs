@@ -6,7 +6,14 @@
 //! |---|---|---|---|
 //! | [`baseline`] | V-A | `O(n⁵)` | per-subcell map + skyline |
 //! | [`subset`] | V-B | `O(n⁵)` worst, ~`O(n⁴ log n)` | candidates from the global diagram |
-//! | [`scanning`] | V-C | ~`O(n⁴·k)` | incremental across bisector lines |
+//! | [`scanning`] | V-C | `O(n⁴·(c·(k + c) + n/64))` | one bitset step per subcell: only the line's `c` contributors are re-checked |
+//!
+//! `k` is the size of a subcell's dynamic skyline and `c` the number of
+//! contributors of the line crossed (2 for a bisector, 1 for a point's own
+//! line, more only where lines coincide). All three engines write
+//! run-collapsed bitset rows ([`BitRuns`](crate::result_set::BitRuns)) that
+//! one [`BitsetInterner`](crate::result_set::BitsetInterner) interns in
+//! row-major order, so their results and ids are identical.
 
 pub mod baseline;
 pub mod highd;
@@ -225,14 +232,16 @@ impl DynamicEngine {
 }
 
 /// Dynamic skyline of `candidates` relative to a subcell sample in
-/// quadrupled coordinates: minima of `(|4·p.x − s.x|, |4·p.y − s.y|)`.
-/// The shared kernel of all three engines.
+/// quadrupled coordinates: minima of `(|4·p.x − s.x|, |4·p.y − s.y|)`,
+/// written into the bitset `block` (cleared first). The per-subcell kernel
+/// of the baseline and subset engines.
 pub(crate) fn dynamic_minima_at_sample(
     dataset: &Dataset,
     candidates: impl IntoIterator<Item = PointId>,
     sample_x4: Point,
     scratch: &mut Vec<(Coord, Coord, PointId)>,
-) -> Vec<PointId> {
+    block: &mut [u64],
+) {
     scratch.clear();
     scratch.extend(candidates.into_iter().map(|id| {
         let p = dataset.point(id);
@@ -242,7 +251,11 @@ pub(crate) fn dynamic_minima_at_sample(
             id,
         )
     }));
-    minima_xy(scratch)
+    block.fill(0);
+    for id in minima_xy(scratch) {
+        let bit = id.0 as usize;
+        block[bit / 64] |= 1u64 << (bit % 64);
+    }
 }
 
 #[cfg(test)]

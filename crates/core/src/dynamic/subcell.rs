@@ -16,8 +16,6 @@
 //! (`2·line ± 1` or `line_left + line_right`), which is why dataset
 //! construction bounds raw coordinates at [`MAX_COORD`](crate::geometry::MAX_COORD).
 
-use std::collections::BTreeMap;
-
 use crate::geometry::{slab_sample_doubled, Coord, Dataset, Point, PointId};
 use crate::parallel::{self, ParallelConfig};
 
@@ -34,68 +32,83 @@ pub struct SubcellGrid {
     ylines: Vec<Coord>,
     /// Per vertical line: the points whose pairwise x-relation can flip
     /// there (both members of every pair whose bisector is the line, plus
-    /// any point whose own doubled coordinate is the line). Sorted ids.
-    x_contributors: Vec<Vec<PointId>>,
+    /// any point whose own doubled coordinate is the line).
+    x_contributors: Contributors,
     /// Per horizontal line: same, for y.
-    y_contributors: Vec<Vec<PointId>>,
+    y_contributors: Contributors,
 }
 
-fn build_axis(
-    values: impl Iterator<Item = (Coord, PointId)>,
-    cfg: &ParallelConfig,
-) -> (Vec<Coord>, Vec<Vec<PointId>>) {
-    let pts: Vec<(Coord, PointId)> = values.collect();
-    // The O(n²) bisector pair loop, banded over the first pair member. Each
-    // band collects its own line → contributors map; merging is order-free
-    // because the final per-line lists are sorted and deduped, so the result
-    // is identical for every thread count.
-    let bands: Vec<BTreeMap<Coord, Vec<PointId>>> = parallel::map_indexed(cfg, pts.len(), |i| {
-        let (a, ida) = pts[i];
-        let mut local: BTreeMap<Coord, Vec<PointId>> = BTreeMap::new();
-        for &(b, idb) in &pts[i..] {
-            // a == b covers the point's own grid line 2·p.x.
-            let entry = local.entry(a + b).or_default();
-            entry.push(ida);
-            entry.push(idb);
-        }
-        local
-    });
-    let mut lines: BTreeMap<Coord, Vec<PointId>> = BTreeMap::new();
-    for band in bands {
-        for (pos, mut ids) in band {
-            lines.entry(pos).or_default().append(&mut ids);
+/// The contributor lists of one axis as a CSR arena: line `i`'s sorted ids
+/// are `ids[ends[i - 1]..ends[i]]` (`ends[-1]` being 0).
+#[derive(Clone, Debug, Default)]
+struct Contributors {
+    ids: Vec<PointId>,
+    ends: Vec<u32>,
+}
+
+impl Contributors {
+    /// Empty lists for `lines` lines.
+    fn empty(lines: usize) -> Self {
+        Contributors {
+            ids: Vec::new(),
+            ends: vec![0; lines],
         }
     }
-    let mut positions = Vec::with_capacity(lines.len());
-    let mut contributors = Vec::with_capacity(lines.len());
-    for (pos, mut ids) in lines {
-        ids.sort_unstable();
-        ids.dedup();
-        positions.push(pos);
-        contributors.push(ids);
+
+    fn get(&self, i: u32) -> &[PointId] {
+        let i = i as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.ids[start..self.ends[i] as usize]
     }
+
+    fn heap_bytes(&self) -> usize {
+        use crate::telemetry::mem::vec_heap_bytes;
+        vec_heap_bytes(&self.ids) + vec_heap_bytes(&self.ends)
+    }
+}
+
+/// One axis of the grid: every unordered pair `(a, b)` (including `a = b`,
+/// the point's own line `2·a`) yields the line `a + b` with both members as
+/// contributors. Sorting the `(line, id)` pairs groups them by line with ids
+/// ascending, and deduplication leaves each line's distinct contributors.
+fn build_axis(pts: &[(Coord, PointId)]) -> (Vec<Coord>, Contributors) {
+    let mut pairs: Vec<(Coord, PointId)> = Vec::with_capacity(pts.len() * (pts.len() + 1));
+    for (k, &(a, ida)) in pts.iter().enumerate() {
+        for &(b, idb) in &pts[k..] {
+            pairs.push((a + b, ida));
+            pairs.push((a + b, idb));
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let mut positions: Vec<Coord> = Vec::new();
+    let mut contributors = Contributors {
+        ids: Vec::with_capacity(pairs.len()),
+        ends: Vec::new(),
+    };
+    for (k, &(pos, id)) in pairs.iter().enumerate() {
+        if positions.last() != Some(&pos) {
+            positions.push(pos);
+        }
+        contributors.ids.push(id);
+        if !matches!(pairs.get(k + 1), Some(&(next, _)) if next == pos) {
+            contributors.ends.push(contributors.ids.len() as u32);
+        }
+    }
+    positions.shrink_to_fit();
+    contributors.ends.shrink_to_fit();
     (positions, contributors)
 }
 
 impl SubcellGrid {
-    /// Heap bytes owned by the grid: the line tables plus the contributor
-    /// lists (spine vectors and every per-line buffer).
+    /// Heap bytes owned by the grid: the line tables plus both contributor
+    /// arenas.
     pub fn heap_bytes(&self) -> usize {
         use crate::telemetry::mem::vec_heap_bytes;
         vec_heap_bytes(&self.xlines)
             + vec_heap_bytes(&self.ylines)
-            + vec_heap_bytes(&self.x_contributors)
-            + vec_heap_bytes(&self.y_contributors)
-            + self
-                .x_contributors
-                .iter()
-                .map(vec_heap_bytes)
-                .sum::<usize>()
-            + self
-                .y_contributors
-                .iter()
-                .map(vec_heap_bytes)
-                .sum::<usize>()
+            + self.x_contributors.heap_bytes()
+            + self.y_contributors.heap_bytes()
     }
 
     /// Reassembles a grid from raw line positions (deserialization path).
@@ -103,8 +116,8 @@ impl SubcellGrid {
     /// location and queries, but cannot seed the incremental scanning
     /// engine (which is a construction-time concern only).
     pub(crate) fn from_lines(xlines: Vec<Coord>, ylines: Vec<Coord>) -> Self {
-        let x_contributors = vec![Vec::new(); xlines.len()];
-        let y_contributors = vec![Vec::new(); ylines.len()];
+        let x_contributors = Contributors::empty(xlines.len());
+        let y_contributors = Contributors::empty(ylines.len());
         SubcellGrid {
             xlines,
             ylines,
@@ -121,12 +134,14 @@ impl SubcellGrid {
     }
 
     /// Builds the subcell grid with an explicit parallel configuration: the
-    /// bisector pair loop is banded across workers, with identical output
-    /// at every thread count.
+    /// two axes are built side by side, with identical output at every
+    /// thread count.
     pub fn new_with(dataset: &Dataset, cfg: &ParallelConfig) -> Self {
         let _grid = crate::span!("dynamic.subcell_grid", dataset.len() as u64);
-        let (xlines, x_contributors) = build_axis(dataset.iter().map(|(id, p)| (p.x, id)), cfg);
-        let (ylines, y_contributors) = build_axis(dataset.iter().map(|(id, p)| (p.y, id)), cfg);
+        let xs: Vec<(Coord, PointId)> = dataset.iter().map(|(id, p)| (p.x, id)).collect();
+        let ys: Vec<(Coord, PointId)> = dataset.iter().map(|(id, p)| (p.y, id)).collect();
+        let ((xlines, x_contributors), (ylines, y_contributors)) =
+            parallel::join(cfg, || build_axis(&xs), || build_axis(&ys));
         SubcellGrid {
             xlines,
             ylines,
@@ -168,13 +183,13 @@ impl SubcellGrid {
     /// Contributors of vertical line `i` (see struct docs).
     #[inline]
     pub fn x_contributors(&self, i: u32) -> &[PointId] {
-        &self.x_contributors[i as usize]
+        self.x_contributors.get(i)
     }
 
     /// Contributors of horizontal line `j`.
     #[inline]
     pub fn y_contributors(&self, j: u32) -> &[PointId] {
-        &self.y_contributors[j as usize]
+        self.y_contributors.get(j)
     }
 
     /// The subcell containing a query point (original coordinates). Queries

@@ -13,7 +13,7 @@ use crate::dynamic::{dynamic_minima_at_sample, SubcellDiagram, SubcellGrid};
 use crate::geometry::{CellGrid, Dataset};
 use crate::parallel::{self, ParallelConfig};
 use crate::quadrant::QuadrantEngine;
-use crate::result_set::{ResultInterner, ResultRuns};
+use crate::result_set::{words_for, BitRuns, BitsetInterner};
 
 /// Builds the dynamic skyline diagram from global-skyline candidate sets.
 /// `engine` selects the quadrant engine used for the global diagram. Uses
@@ -56,6 +56,7 @@ pub fn build_with_global_cfg(
     let cell_grid: &CellGrid = global.grid();
     let width = grid.mx() as usize + 1;
     let height = grid.my() as usize + 1;
+    let words = words_for(dataset.len());
 
     // Map each subcell slab to its containing cell slab once per axis:
     // subcell sample coordinates are in quadrupled space, cell lines in raw.
@@ -74,25 +75,31 @@ pub fn build_with_global_cfg(
 
     let _bands = crate::span!("dynamic.subset.bands", height as u64);
     crate::counter!("dynamic.subcell_rows").add(height as u64);
-    let rows: Vec<ResultRuns> = parallel::map_indexed(cfg, height, |j| {
+    let rows: Vec<BitRuns> = parallel::map_indexed(cfg, height, |j| {
         let mut scratch = Vec::with_capacity(dataset.len());
-        let mut runs = ResultRuns::new();
+        let mut block = vec![0u64; words];
+        let mut runs = BitRuns::new(words);
         for i in 0..width as u32 {
             let sample = grid.sample_x4((i, j as u32));
             let candidates = global.result((cell_x_of[i as usize], cell_y_of[j]));
-            let sky =
-                dynamic_minima_at_sample(dataset, candidates.iter().copied(), sample, &mut scratch);
-            runs.push(&sky);
+            dynamic_minima_at_sample(
+                dataset,
+                candidates.iter().copied(),
+                sample,
+                &mut scratch,
+                &mut block,
+            );
+            runs.push_words(&block);
         }
         runs
     });
 
-    let mut results = ResultInterner::new();
+    let mut bits = BitsetInterner::new(words);
     let mut cells = Vec::with_capacity(width * height);
     for row in &rows {
-        row.intern_into(&mut results, &mut cells);
+        row.intern_into(&mut bits, &mut cells);
     }
-    SubcellDiagram::from_parts(grid, results, cells)
+    SubcellDiagram::from_parts(grid, bits.to_result_interner(), cells)
 }
 
 #[cfg(test)]

@@ -26,8 +26,9 @@
 //!   [`BitsetInterner::to_result_interner`], so callers and the
 //!   serialize/snapshot layers see the sorted-id representation unchanged.
 //!
-//! [`ResultRuns`] and [`BitRuns`] are the matching run-collapsed per-worker
-//! buffers replayed by the deterministic single-threaded stitch.
+//! [`BitRuns`] is the one run-collapsed per-worker buffer, replayed into a
+//! [`BitsetInterner`] by the deterministic single-threaded stitch; the
+//! quadrant, global and dynamic builders all use it.
 
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
@@ -761,100 +762,15 @@ pub fn encode_results(results: &ResultInterner, words: usize) -> Vec<u64> {
     flat
 }
 
-/// A row's worth of per-cell results produced by one parallel worker:
-/// consecutive equal results collapse into *runs* over one shared flat id
-/// buffer, so a band of cells costs one allocation instead of one per cell.
+/// A row's worth of per-cell results produced by one parallel worker, as
+/// fixed-stride bitset blocks: consecutive equal results collapse into
+/// *runs* over one shared flat word buffer, so a band of cells costs one
+/// allocation instead of one per cell.
 ///
-/// Workers fill a `ResultRuns` each (no shared state, no locks); the
+/// Workers fill a `BitRuns` each (no shared state, no locks); the
 /// single-threaded stitch then replays the runs into the shared
-/// [`ResultInterner`] in deterministic row-major order, which is what keeps
+/// [`BitsetInterner`] in deterministic row-major order, which is what keeps
 /// parallel builds bit-identical for every thread count.
-#[derive(Clone, Debug, Default)]
-pub struct ResultRuns {
-    /// Concatenated ids of the distinct runs, in emission order.
-    flat: Vec<PointId>,
-    /// Per run: `(cells covered, end offset into flat)`.
-    runs: Vec<(u32, u32)>,
-}
-
-impl ResultRuns {
-    /// An empty run buffer.
-    pub fn new() -> Self {
-        ResultRuns::default()
-    }
-
-    /// Number of cells covered so far.
-    pub fn cells(&self) -> usize {
-        self.runs.iter().map(|&(count, _)| count as usize).sum()
-    }
-
-    /// True iff no cell has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.runs.is_empty()
-    }
-
-    /// The ids of the most recent run, if any.
-    fn last_run(&self) -> Option<&[PointId]> {
-        let &(_, end) = self.runs.last()?;
-        let start = match self.runs.len().checked_sub(2) {
-            Some(i) => self.runs[i].1 as usize,
-            None => 0,
-        };
-        Some(&self.flat[start..end as usize])
-    }
-
-    /// Appends one cell whose result is `ids` (strictly sorted); collapses
-    /// into the previous run when the result repeats.
-    pub fn push(&mut self, ids: &[PointId]) {
-        debug_assert!(
-            ids.windows(2).all(|w| w[0] < w[1]),
-            "result must be strictly sorted"
-        );
-        if self.last_run() == Some(ids) {
-            self.push_repeat(1);
-            return;
-        }
-        self.flat.extend_from_slice(ids);
-        self.runs.push((1, self.flat.len() as u32));
-    }
-
-    /// Appends `count` cells sharing the result `ids`.
-    pub fn push_n(&mut self, ids: &[PointId], count: u32) {
-        if count == 0 {
-            return;
-        }
-        self.push(ids);
-        self.push_repeat(count - 1);
-    }
-
-    /// Extends the current run by `count` more cells without re-checking the
-    /// ids — for callers that already know the result did not change.
-    ///
-    /// # Panics
-    /// Debug builds assert that a run exists.
-    pub fn push_repeat(&mut self, count: u32) {
-        debug_assert!(!self.runs.is_empty(), "push_repeat needs a current run");
-        if let Some(last) = self.runs.last_mut() {
-            last.0 += count;
-        }
-    }
-
-    /// Replays the runs into `results`, appending one [`ResultId`] per cell
-    /// to `cells` in emission order.
-    pub fn intern_into(&self, results: &mut ResultInterner, cells: &mut Vec<ResultId>) {
-        let mut start = 0usize;
-        for &(count, end) in &self.runs {
-            let rid = results.intern_slice(&self.flat[start..end as usize]);
-            cells.extend(std::iter::repeat(rid).take(count as usize));
-            start = end as usize;
-        }
-    }
-}
-
-/// The bitset counterpart of [`ResultRuns`]: a run-collapsed per-worker
-/// buffer of fixed-stride bitset blocks. Same API shape, same stitch
-/// contract — workers push word blocks, the single-threaded stitch replays
-/// them into the shared [`BitsetInterner`] in deterministic row-major order.
 #[derive(Clone, Debug)]
 pub struct BitRuns {
     /// Block stride in words.
@@ -1015,33 +931,6 @@ mod tests {
         assert_eq!(interner.intern_slice(&ids(&[1, 2, 5])), a);
         let b = interner.intern_slice(&ids(&[7]));
         assert_eq!(interner.intern_sorted(ids(&[7])), b);
-        assert_eq!(interner.len(), 3);
-    }
-
-    #[test]
-    fn result_runs_collapse_and_replay() {
-        let mut runs = ResultRuns::new();
-        assert!(runs.is_empty());
-        runs.push(&ids(&[1, 2]));
-        runs.push(&ids(&[1, 2])); // collapses
-        runs.push(&ids(&[3]));
-        runs.push_repeat(2);
-        runs.push_n(&ids(&[]), 2);
-        runs.push_n(&ids(&[3]), 0); // no-op
-        assert_eq!(runs.cells(), 7);
-
-        let mut interner = ResultInterner::new();
-        let mut cells = Vec::new();
-        runs.intern_into(&mut interner, &mut cells);
-        assert_eq!(cells.len(), 7);
-        assert_eq!(interner.get(cells[0]), ids(&[1, 2]).as_slice());
-        assert_eq!(cells[0], cells[1]);
-        assert_eq!(interner.get(cells[2]), ids(&[3]).as_slice());
-        assert_eq!(cells[2], cells[3]);
-        assert_eq!(cells[3], cells[4]);
-        assert_eq!(cells[5], interner.empty());
-        assert_eq!(cells[6], interner.empty());
-        // Distinct sets stored once each: empty + {1,2} + {3}.
         assert_eq!(interner.len(), 3);
     }
 

@@ -1057,8 +1057,10 @@ mod tests {
             .any(|h| h.name == "test.telemetry.hist" && h.count >= 1));
 
         // Reset is registry-global, so only assert on our own keys (other
-        // tests in this binary race on theirs).
-        reset_metrics();
+        // tests in this binary race on theirs). Only the metric registry is
+        // reset: the allocator counters stay cumulative, so the mem tests'
+        // deltas cannot be lowered under them.
+        active::reset_metrics();
         assert_eq!(register_counter("test.telemetry.zz").get(), 0);
         assert_eq!(register_histogram("test.telemetry.hist").count(), 0);
     }

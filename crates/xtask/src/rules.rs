@@ -40,7 +40,9 @@ const READ_PATH_SCOPE: &[&str] = &[
 /// O(cells) allocations slower). Deliberately allowlist-free: the arenas
 /// *are* the escape hatch. `diagram/boundary.rs` is out of scope by
 /// construction — its loop walks are per-polyomino output geometry with
-/// genuinely jagged shape, not cell storage.
+/// genuinely jagged shape, not cell storage. The planar dynamic engines
+/// and their subcell grid are in scope: with `O(n⁴)` subcells, a per-subcell
+/// or per-line `Vec` is the costliest form of the regression.
 const ARENA_SCOPE: &[&str] = &[
     "crates/core/src/container.rs",
     "crates/core/src/result_set.rs",
@@ -49,6 +51,10 @@ const ARENA_SCOPE: &[&str] = &[
     "crates/core/src/diagram/merge.rs",
     "crates/core/src/diagram/mod.rs",
     "crates/core/src/diagram/polyomino.rs",
+    "crates/core/src/dynamic/baseline.rs",
+    "crates/core/src/dynamic/scanning.rs",
+    "crates/core/src/dynamic/subcell.rs",
+    "crates/core/src/dynamic/subset.rs",
 ];
 
 /// Numeric primitive names, for spotting `as <numeric>` casts.
@@ -879,6 +885,23 @@ mod tests {
         // ClipBox is a whole different identifier, not a `Box` hit.
         let decoy = "pub fn clip(b: ClipBox) -> Vec<CellIndex> { vec![] }";
         let f = findings_for("crates/core/src/diagram/cell_diagram.rs", decoy);
+        assert!(f.iter().all(|f| f.rule != "no-per-cell-alloc"));
+
+        // The dynamic engines and their grid are arena-backed too: per-row
+        // seeds or per-line contributor lists as nested vectors fire.
+        let seeds = "fn build() { let seeds: Vec<Vec<PointId>> = Vec::with_capacity(h); }";
+        let f = findings_for("crates/core/src/dynamic/scanning.rs", seeds);
+        assert_eq!(
+            f.iter().filter(|f| f.rule == "no-per-cell-alloc").count(),
+            1
+        );
+        let f = findings_for("crates/core/src/dynamic/subcell.rs", nested);
+        assert_eq!(
+            f.iter().filter(|f| f.rule == "no-per-cell-alloc").count(),
+            1
+        );
+        // The high-d dynamic engine keeps its per-dimension line tables.
+        let f = findings_for("crates/core/src/dynamic/highd.rs", nested);
         assert!(f.iter().all(|f| f.rule != "no-per-cell-alloc"));
 
         // boundary.rs returns genuinely jagged outline walks; out of scope.
