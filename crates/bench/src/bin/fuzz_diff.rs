@@ -13,7 +13,9 @@
 //! out in release builds, which is how this harness normally runs): brute
 //! force semantic recompute of every cell, Definition 2 union check for
 //! global diagrams, and the polyomino partition checks for the swept
-//! diagram's merge.
+//! diagram's merge. Each round also churns a few inserts and removals
+//! through the local repair ([`skyline_core::repair`]) and checks every
+//! repaired index against a fresh build, byte for byte.
 //!
 //! On a mismatch or invariant violation it prints the offending spec plus
 //! a copy-pasteable one-round repro command, and exits nonzero:
@@ -145,6 +147,7 @@ fn round(seed: u64, with_highd: bool) {
     let ds = spec.build_2d();
     check_quadrant(&spec, &ds);
     check_global(&spec, &ds);
+    check_repair(&spec, &ds);
     if n <= 12 {
         check_dynamic(&spec, &ds);
     }
@@ -267,6 +270,73 @@ fn check_global(spec: &DatasetSpec, ds: &Dataset) {
         {
             fail(&format!("global-sweeping-threads-{threads}"), spec);
         }
+    }
+}
+
+/// Local repair: a seed-derived run of inserts (new points and
+/// duplicates) and removals (any id) must give, after every update, the
+/// index a fresh build gives — byte for byte in the container — and
+/// diagrams that pass the invariant suite.
+fn check_repair(spec: &DatasetSpec, ds: &Dataset) {
+    use skyline_core::container::encode_index;
+    use skyline_core::geometry::{Point, PointId};
+    use skyline_core::index::SkylineIndex;
+    use skyline_core::maintained::Handle;
+    use skyline_core::repair::Update;
+
+    let cfg = ParallelConfig::sequential();
+    let builder = SkylineIndex::builder().with_global(true);
+    let mut index = builder.build_with(ds, &cfg);
+    let mut state = spec.seed ^ 0x5e1f_4e9a_1c0d_e5ed;
+    let mut draw = |bound: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % bound
+    };
+    let domain = spec.domain as u64;
+    for step in 0..6 {
+        let len = index.dataset().len() as u64;
+        let points = index.dataset().points();
+        let mut next = |len: u64| match draw(3) {
+            0 if len > 1 => Update::Remove(PointId(draw(len) as u32)),
+            1 => Update::Insert(points[draw(points.len() as u64) as usize]),
+            _ => Update::Insert(Point::new(draw(domain) as i64, draw(domain) as i64)),
+        };
+        // Every third step repairs a batch of two.
+        let first = next(len);
+        let mut updates = vec![first];
+        if step % 3 == 2 {
+            let len = if matches!(first, Update::Remove(_)) {
+                len - 1
+            } else {
+                len + 1
+            };
+            updates.push(next(len));
+        }
+        let Some(repaired) = builder.repair(&index, &updates, &cfg) else {
+            fail(&format!("repair refused {updates:?}"), spec);
+        };
+        let built = builder.build_with(repaired.dataset(), &cfg);
+        let handles: Vec<Handle> = (0..built.dataset().len() as u64).map(Handle).collect();
+        if encode_index(&repaired, &handles) != encode_index(&built, &handles) {
+            fail(&format!("repair {updates:?} (step {step})"), spec);
+        }
+        let budget = budget(repaired.dataset().len());
+        for (diagram, semantics) in [
+            (repaired.quadrant_diagram(), CellSemantics::Quadrant),
+            (
+                repaired.global_diagram().expect("repaired with global"),
+                CellSemantics::Global,
+            ),
+        ] {
+            if let Err(v) =
+                invariants::validate_cell_diagram(repaired.dataset(), diagram, semantics, budget)
+            {
+                fail(&format!("repair invariants (step {step}): {v}"), spec);
+            }
+        }
+        index = repaired;
     }
 }
 

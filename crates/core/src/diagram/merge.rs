@@ -152,6 +152,9 @@ fn collect_components(
     )
 }
 
+/// Marks a component representative without a polyomino id yet.
+const UNLABELLED: u32 = u32::MAX;
+
 /// Two-pass counting build of the polyomino CSR arena.
 ///
 /// Pass 1 walks cells row-major, assigning each new component the next dense
@@ -165,18 +168,21 @@ fn collect_components_grid(
     index_of: impl Fn(usize) -> (u32, u32),
     mut component_of: impl FnMut(usize) -> u32,
 ) -> MergedDiagram {
-    let mut poly_index: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
+    // Representatives are cell indices (or flood-fill labels, which are
+    // fewer), so a dense table maps them to polyomino ids.
+    let mut poly_index = vec![UNLABELLED; cells.len()];
     let mut results: Vec<crate::result_set::ResultId> = Vec::new();
     let mut counts: Vec<u32> = Vec::new();
     let mut cell_to_polyomino = vec![0u32; cells.len()];
 
     for (idx, &result) in cells.iter().enumerate() {
-        let rep = component_of(idx);
-        let poly = *poly_index.entry(rep).or_insert_with(|| {
+        let slot = &mut poly_index[widen(component_of(idx))];
+        if *slot == UNLABELLED {
+            *slot = narrow(results.len());
             results.push(result);
             counts.push(0);
-            narrow(results.len() - 1)
-        });
+        }
+        let poly = *slot;
         counts[widen(poly)] += 1;
         cell_to_polyomino[idx] = poly;
     }

@@ -21,10 +21,11 @@
 //!
 //! The reflected quadrant builds are independent (the per-orthant
 //! fan-out of Definition 2) and run through [`crate::parallel`]; the union
-//! phase is then row-banded: each row worker walks its cells, reuses the
-//! previous cell's union whenever the 4-tuple of per-quadrant result ids is
-//! unchanged, and hands back [`BitRuns`] that collapse consecutive equal
-//! unions. The sequential
+//! phase is then row-banded: each row worker unions every cell of its row
+//! and hands back [`BitRuns`] that collapse consecutive equal unions. (No
+//! two neighbouring cells share all four per-quadrant ids: the grid line
+//! between them carries a point, which enters or leaves one orthant.) The
+//! sequential
 //! stitch interns the runs in row-major order, which both dedups storage
 //! and keeps the output identical for every thread count; `threads = 0`
 //! runs the same rows inline.
@@ -110,7 +111,7 @@ fn reflect(dataset: &Dataset, flip_x: bool, flip_y: bool) -> Dataset {
 }
 
 /// Per-orthant fan-out of the three reflections, then row-banded
-/// word-parallel 4-way unions memoized over unchanged result-id tuples.
+/// word-parallel 4-way unions.
 fn union_orthants(
     dataset: &Dataset,
     q1: &CellDiagram,
@@ -151,28 +152,16 @@ fn union_orthants(
                 &quadrants[q].cell_results()[rj * width..(rj + 1) * width]
             });
             let mut runs = BitRuns::new(words);
-            let mut prev_tuple: Option<[ResultId; 4]> = None;
             let mut out = vec![0u64; words];
-            let mut misses = 0u64;
             for i in 0..width {
-                let tuple: [ResultId; 4] = std::array::from_fn(|q| {
-                    rows[q][if REFLECTIONS[q].0 { width - 1 - i } else { i }]
-                });
-                if prev_tuple == Some(tuple) {
-                    runs.push_repeat(1);
-                    continue;
-                }
-                misses += 1;
-                prev_tuple = Some(tuple);
                 let block = |q: usize| {
-                    let start = tuple[q].0 as usize * words;
+                    let id = rows[q][if REFLECTIONS[q].0 { width - 1 - i } else { i }];
+                    let start = id.0 as usize * words;
                     &arenas[q][start..start + words]
                 };
                 union4_words(block(0), block(1), block(2), block(3), &mut out);
                 runs.push_words(&out);
             }
-            crate::counter!("global.union.memo_hit").add(width as u64 - misses);
-            crate::counter!("global.union.memo_miss").add(misses);
             runs
         })
     };

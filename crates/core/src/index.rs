@@ -26,6 +26,7 @@ use crate::dynamic::{DynamicEngine, SubcellDiagram};
 use crate::geometry::{Dataset, Point, PointId};
 use crate::parallel::ParallelConfig;
 use crate::quadrant::QuadrantEngine;
+use crate::repair::Update;
 
 /// Builder for [`SkylineIndex`]; see the module docs.
 #[derive(Clone, Copy, Debug)]
@@ -93,9 +94,9 @@ impl SkylineIndexBuilder {
     /// global/dynamic diagrams). The global diagram reuses `quadrant` as
     /// its first orthant ([`crate::global::build_around`]).
     ///
-    /// `quadrant` must be a quadrant diagram of `dataset` — callers such as
-    /// `MaintainedIndex`-backed servers reuse the diagram from their last
-    /// rebuild instead of building it twice.
+    /// `quadrant` must be a quadrant diagram of `dataset` — callers that
+    /// already hold one, such as a `MaintainedIndex` after its rebuild,
+    /// reuse it instead of building it twice.
     pub fn assemble(
         self,
         dataset: &Dataset,
@@ -126,6 +127,53 @@ impl SkylineIndexBuilder {
             global,
             dynamic,
         }
+    }
+
+    /// The index of `old`'s dataset after `updates`, applied in order, by
+    /// local repair ([`crate::repair`]) instead of a build: only the cells
+    /// each update changes are recomputed, then the polyominoes are merged
+    /// once and the dynamic diagram, if asked for, is built. The result is
+    /// id-for-id equal to [`Self::build_with`] over the updated points in
+    /// the same order, so containers encode to the same bytes.
+    ///
+    /// Returns `None` when the batch cannot be repaired: no updates, an
+    /// engine other than sweeping (a repair numbers results as the sweeping
+    /// engine does), a global diagram asked for but absent from `old`, or a
+    /// dataset that would become empty.
+    pub fn repair(
+        self,
+        old: &SkylineIndex,
+        updates: &[Update],
+        cfg: &ParallelConfig,
+    ) -> Option<SkylineIndex> {
+        let (&first, rest) = updates.split_first()?;
+        if self.engine != QuadrantEngine::Sweeping || (self.with_global && old.global.is_none()) {
+            return None;
+        }
+        let global = old.global.as_ref().filter(|_| self.with_global);
+        let mut state = crate::repair::apply(&old.dataset, &old.quadrant, global, first)?;
+        for &update in rest {
+            state = crate::repair::apply(
+                &state.dataset,
+                &state.quadrant,
+                state.global.as_ref(),
+                update,
+            )?;
+        }
+        let merged = {
+            let _merge = crate::span!("index.merge");
+            merge(&state.quadrant)
+        };
+        let dynamic = self
+            .with_dynamic
+            .then(|| self.dynamic_engine.build_with(&state.dataset, cfg));
+        Some(SkylineIndex {
+            dataset: state.dataset,
+            quadrant: state.quadrant,
+            merged,
+            global: state.global,
+            dynamic,
+        })
     }
 }
 

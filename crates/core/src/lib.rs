@@ -74,6 +74,7 @@ pub mod maintained;
 pub mod parallel;
 pub mod quadrant;
 pub mod query;
+pub mod repair;
 pub mod result_set;
 pub mod serialize;
 pub mod skyband;

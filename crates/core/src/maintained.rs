@@ -1,20 +1,23 @@
 //! A semi-dynamic wrapper: accept point insertions and removals, keep
-//! answering queries, and rebuild the diagram **lazily** — the honest
-//! maintenance strategy for a structure whose grid shifts globally on any
-//! update (a new point adds a grid line, renumbering every cell beyond
-//! it). Updates are `O(1)` queue pushes; the first query after a batch of
-//! updates pays one rebuild. Between rebuilds, pending updates are applied
-//! *exactly* on the query path by post-filtering and candidate-merging, so
-//! answers are always correct, never stale.
+//! answering queries, and rebuild the diagram **lazily** — updates are
+//! `O(1)` queue pushes, and the first query after a batch of updates that
+//! needs it pays one rebuild. Between rebuilds, pending updates are
+//! applied *exactly* on the query path, so answers are always correct,
+//! never stale.
 //!
 //! Mid-epoch query semantics: pending **insertions** are merged exactly by
 //! a minima pass over `lookup ∪ pending` (a stale skyline point can only
 //! be evicted by a pending point, and a pending point only enters if
 //! undominated by the survivors — one minima computation checks both).
-//! Pending **removals** cannot be patched locally — deleting a skyline
-//! point exposes dominated points the stale lookup never recorded — so
-//! the first query after a removal triggers the rebuild instead. The
-//! `removal_exposes_dominated_points` test pins exactly this case.
+//! Pending **removals** are not patched here: deleting a skyline point
+//! exposes dominated points the stale lookup never recorded, so the first
+//! query after a removal triggers the rebuild. The
+//! `removal_exposes_dominated_points` test pins exactly this case. A patch
+//! that consults the point set does exist — the exposed points are the
+//! minima of what the removed point dominated — and [`crate::repair`]
+//! applies it (and the insertion rule) to whole diagrams, cell by cell;
+//! the serving layer publishes through that repair rather than through
+//! this index.
 
 use crate::diagram::CellDiagram;
 use crate::geometry::{Coord, Dataset, Point, PointId};
@@ -60,41 +63,6 @@ impl MaintainedIndex {
             dirt: 0,
             rebuild_threshold: 32,
         }
-    }
-
-    /// Restores an index from a decoded snapshot (`crate::container`): the
-    /// live point set and its handle assignment are adopted verbatim, so
-    /// handles stay stable across a save/load cycle. Handles must be
-    /// unique; fresh handles continue after the largest restored one. The
-    /// diagram is *not* built here — cold-start callers publish the decoded
-    /// diagram directly and let the first mutation pay the rebuild.
-    pub fn restore(
-        engine: QuadrantEngine,
-        points: impl IntoIterator<Item = (Handle, Point)>,
-    ) -> Result<Self, &'static str> {
-        let points: Vec<(Handle, Point)> = points.into_iter().collect();
-        let mut seen: Vec<Handle> = points.iter().map(|&(h, _)| h).collect();
-        seen.sort_unstable();
-        if seen.windows(2).any(|w| w[0] == w[1]) {
-            return Err("restored handles must be unique");
-        }
-        let next_handle = match seen.last() {
-            Some(h) => {
-                h.0.checked_add(1)
-                    .ok_or("restored handle space is exhausted")?
-            }
-            None => 0,
-        };
-        Ok(MaintainedIndex {
-            engine,
-            points,
-            next_handle,
-            built: None,
-            pending_inserts: Vec::new(),
-            pending_removes: std::collections::HashSet::new(),
-            dirt: 0,
-            rebuild_threshold: 32,
-        })
     }
 
     /// Number of live points.

@@ -45,62 +45,11 @@ pub fn build(dataset: &Dataset) -> CellDiagram {
 /// returned diagram ([`crate::diagram::merge::merge`]).
 pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> CellDiagram {
     let grid = CellGrid::new(dataset);
-    let width = grid.nx() as usize + 1;
-    let height = grid.ny() as usize + 1;
-
-    let corner_dp_span = crate::span!("sweeping.corner_dp", (width * height) as u64);
-    // Corner DP: for each cell, the (min x-rank, min y-rank) over its
-    // first-quadrant points, or RANK_INF when the quadrant is empty. Each
-    // point seeds its own grid intersection; the DP then takes minima from
-    // the right and upper neighbours.
-    const RANK_INF: u32 = u32::MAX;
-    let mut corner_x = vec![RANK_INF; width * height];
-    let mut corner_y = vec![RANK_INF; width * height];
-    for id in dataset.ids() {
-        let (rx, ry) = (grid.xrank(id), grid.yrank(id));
-        let idx = ry as usize * width + rx as usize;
-        corner_x[idx] = rx;
-        corner_y[idx] = ry;
-    }
-    for j in (0..height - 1).rev() {
-        for i in (0..width - 1).rev() {
-            let idx = j * width + i;
-            corner_x[idx] = corner_x[idx]
-                .min(corner_x[idx + 1])
-                .min(corner_x[idx + width]);
-            corner_y[idx] = corner_y[idx]
-                .min(corner_y[idx + 1])
-                .min(corner_y[idx + width]);
-        }
-    }
-
-    // Attach a skyline result to every distinct corner. Corners sharing a
-    // y rank are served by one rightmost-to-leftmost staircase sweep. A
-    // dense (y-rank, x-rank) table marks the corners, so reading it row by
-    // row lists the lines in ascending y rank with ascending anchors: both
-    // the worker schedule and the numbering below are deterministic.
-    let mut is_corner = vec![false; width * height];
-    for (&cx, &cy) in corner_x.iter().zip(&corner_y) {
-        if cx != RANK_INF {
-            is_corner[cy as usize * width + cx as usize] = true;
-        }
-    }
-    let mut line_ry: Vec<u32> = Vec::new();
-    let mut line_ends: Vec<usize> = Vec::new();
-    let mut anchors: Vec<u32> = Vec::new();
-    for (ry, row) in is_corner.chunks_exact(width).enumerate() {
-        let before = anchors.len();
-        anchors.extend((0..width as u32).filter(|&rx| row[rx as usize]));
-        if anchors.len() > before {
-            line_ry.push(ry as u32);
-            line_ends.push(anchors.len());
-        }
-    }
-    drop(is_corner);
-    let line_anchors = |l: usize| {
-        let start = if l == 0 { 0 } else { line_ends[l - 1] };
-        &anchors[start..line_ends[l]]
-    };
+    let corner_dp_span = crate::span!(
+        "sweeping.corner_dp",
+        ((grid.nx() as usize + 1) * (grid.ny() as usize + 1)) as u64
+    );
+    let corners = Corners::new(dataset, &grid);
 
     // Points sorted by descending x (then descending y) once, reused by
     // every per-line sweep.
@@ -111,14 +60,15 @@ pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> CellDiagram {
     });
 
     drop(corner_dp_span);
-    crate::counter!("sweeping.lines").add(line_ry.len() as u64);
+    crate::counter!("sweeping.lines").add(corners.lines() as u64);
 
     // Row-band parallelism: each line sweep is independent given the shared
     // sort; staircases come back per line and are numbered in line order.
     let swept: Vec<SweptLine> = {
-        let _sweep = crate::span!("sweeping.sweep", line_ry.len() as u64);
-        parallel::map_indexed(cfg, line_ry.len(), |l| {
-            sweep_line(dataset, &grid, &by_x_desc, line_ry[l], line_anchors(l))
+        let _sweep = crate::span!("sweeping.sweep", corners.lines() as u64);
+        parallel::map_indexed(cfg, corners.lines(), |l| {
+            let (ry, anchors) = corners.line(l);
+            sweep_line(dataset, &grid, &by_x_desc, ry, anchors)
         })
     };
 
@@ -130,33 +80,152 @@ pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> CellDiagram {
     // without a lookup.
     let _intern = crate::span!("sweeping.intern");
     let mut flat: Vec<PointId> = Vec::with_capacity(swept.iter().map(|line| line.ids.len()).sum());
-    let mut ends: Vec<u32> = Vec::with_capacity(anchors.len() + 1);
+    let mut ends: Vec<u32> = Vec::with_capacity(corners.len() + 1);
     ends.push(0);
-    let mut corner_result = vec![0u32; width * height];
-    for (l, line) in swept.iter().enumerate() {
-        let row = line_ry[l] as usize * width;
+    for line in &swept {
+        // A line's staircases run from its rightmost anchor leftwards: the
+        // corners' numbering order.
         let base = flat.len() as u32;
         flat.extend_from_slice(&line.ids);
-        // A line's staircases run from its rightmost anchor leftwards.
-        for (&anchor, &end) in line_anchors(l).iter().rev().zip(&line.ends) {
-            corner_result[row + anchor as usize] = ends.len() as u32;
-            ends.push(base + end);
+        ends.extend(line.ends.iter().map(|&end| base + end));
+    }
+    let results = ResultInterner::from_valid_runs(flat, ends);
+    let cells = corners.into_cells();
+    CellDiagram::from_parts(grid, results, cells)
+}
+
+/// Marks a cell whose quadrant is empty in the corner field.
+const RANK_INF: u32 = u32::MAX;
+
+/// The corner field of a grid and its distinct corners in numbering order.
+///
+/// Every cell's result is fixed by its corner `(min x-rank, min y-rank)`
+/// over its first-quadrant points, so the diagram numbers results by
+/// corner: lines in ascending y rank, and on each line the anchors from
+/// the rightmost leftwards, after the empty result (id 0). Both the engine
+/// and the local repair ([`crate::repair`]) number through this one type,
+/// which is what keeps a repaired diagram id-for-id equal to a build.
+pub(crate) struct Corners {
+    /// Cells per grid row.
+    width: usize,
+    /// Per cell, row-major: the corner's x rank, or `RANK_INF` when the
+    /// quadrant is empty.
+    corner_x: Vec<u32>,
+    /// Per cell, row-major: the corner's y rank, or `RANK_INF`.
+    corner_y: Vec<u32>,
+    /// The y rank of every line holding a corner, ascending.
+    line_ry: Vec<u32>,
+    /// Per line: exclusive end of its anchors in `anchors`.
+    line_ends: Vec<usize>,
+    /// Per line, ascending: the x ranks of its corners.
+    anchors: Vec<u32>,
+}
+
+impl Corners {
+    /// Runs the corner DP over `grid`, the grid of `dataset`: each point
+    /// seeds its own grid intersection, and every cell takes the minima of
+    /// its right and upper neighbours.
+    pub(crate) fn new(dataset: &Dataset, grid: &CellGrid) -> Corners {
+        let width = grid.nx() as usize + 1;
+        let height = grid.ny() as usize + 1;
+        let mut corner_x = vec![RANK_INF; width * height];
+        let mut corner_y = vec![RANK_INF; width * height];
+        for id in dataset.ids() {
+            let (rx, ry) = (grid.xrank(id), grid.yrank(id));
+            let idx = ry as usize * width + rx as usize;
+            corner_x[idx] = rx;
+            corner_y[idx] = ry;
+        }
+        // Row by row from the top: the minimum with the row above, then a
+        // suffix minimum along the row. The last column and the top row
+        // hold no seeds and stay empty.
+        for field in [&mut corner_x, &mut corner_y] {
+            for j in (0..height - 1).rev() {
+                let (row, above) = field[j * width..(j + 2) * width].split_at_mut(width);
+                for (cell, &up) in row.iter_mut().zip(above.iter()) {
+                    *cell = (*cell).min(up);
+                }
+                for i in (0..width - 1).rev() {
+                    row[i] = row[i].min(row[i + 1]);
+                }
+            }
+        }
+
+        // A dense (y-rank, x-rank) table marks the corners, so reading it
+        // row by row lists the lines in ascending y rank with ascending
+        // anchors.
+        let mut is_corner = vec![false; width * height];
+        for (&cx, &cy) in corner_x.iter().zip(&corner_y) {
+            if cx != RANK_INF {
+                is_corner[cy as usize * width + cx as usize] = true;
+            }
+        }
+        let mut line_ry: Vec<u32> = Vec::new();
+        let mut line_ends: Vec<usize> = Vec::new();
+        let mut anchors: Vec<u32> = Vec::new();
+        for (ry, row) in is_corner.chunks_exact(width).enumerate() {
+            let before = anchors.len();
+            anchors.extend((0..width as u32).filter(|&rx| row[rx as usize]));
+            if anchors.len() > before {
+                line_ry.push(ry as u32);
+                line_ends.push(anchors.len());
+            }
+        }
+        Corners {
+            width,
+            corner_x,
+            corner_y,
+            line_ry,
+            line_ends,
+            anchors,
         }
     }
-    let results = ResultInterner::from_csr_readonly(flat, ends)
-        .expect("staircases are strictly sorted runs of the arena");
 
-    // Fill the per-cell diagram from the corner results, in place over the
-    // x half of the corner field.
-    for (cell, &cy) in corner_x.iter_mut().zip(&corner_y) {
-        *cell = if *cell == RANK_INF {
-            results.empty().0
-        } else {
-            corner_result[cy as usize * width + *cell as usize]
-        };
+    /// Number of lines holding a corner.
+    pub(crate) fn lines(&self) -> usize {
+        self.line_ry.len()
     }
-    let cells = corner_x.into_iter().map(ResultId).collect();
-    CellDiagram::from_parts(grid, results, cells)
+
+    /// Number of distinct corners: the non-empty results.
+    pub(crate) fn len(&self) -> usize {
+        self.anchors.len()
+    }
+
+    /// Line `l`: its y rank and its anchors, ascending. Result ids run over
+    /// the lines in order, and within a line over the anchors reversed.
+    pub(crate) fn line(&self, l: usize) -> (u32, &[u32]) {
+        let start = if l == 0 { 0 } else { self.line_ends[l - 1] };
+        (self.line_ry[l], &self.anchors[start..self.line_ends[l]])
+    }
+
+    /// The corners as `(x rank, y rank)` in numbering order: the `k`-th
+    /// is the corner of result id `k + 1`.
+    pub(crate) fn in_order(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.lines()).flat_map(move |l| {
+            let (ry, anchors) = self.line(l);
+            anchors.iter().rev().map(move |&rx| (rx, ry))
+        })
+    }
+
+    /// The per-cell result ids: the id of each cell's corner, or 0 (the
+    /// empty result) for an empty quadrant. Reuses the x half of the field
+    /// as the output.
+    pub(crate) fn into_cells(self) -> Vec<ResultId> {
+        let width = self.width;
+        let mut corner_result = vec![0u32; self.corner_x.len()];
+        for (k, (rx, ry)) in self.in_order().enumerate() {
+            corner_result[ry as usize * width + rx as usize] = k as u32 + 1;
+        }
+        let mut cells = self.corner_x;
+        for (cell, &cy) in cells.iter_mut().zip(&self.corner_y) {
+            *cell = if *cell == RANK_INF {
+                0
+            } else {
+                corner_result[cy as usize * width + *cell as usize]
+            };
+        }
+        cells.into_iter().map(ResultId).collect()
+    }
 }
 
 /// One line's staircases, one per anchor in descending anchor order:

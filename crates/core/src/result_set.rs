@@ -220,6 +220,14 @@ impl ResultInterner {
         ResultId(k)
     }
 
+    /// The id of an interned result equal to `ids`, if any, without
+    /// interning it. Always `None` on a read-only interner.
+    pub(crate) fn find(&self, ids: &[PointId]) -> Option<ResultId> {
+        self.lookup
+            .find(fnv1a(ids), |k| self.get(ResultId(k)) == ids)
+            .map(ResultId)
+    }
+
     /// The point ids of an interned result, in increasing order.
     #[inline]
     pub fn get(&self, id: ResultId) -> &[PointId] {
@@ -309,30 +317,8 @@ impl ResultInterner {
         Ok(interner)
     }
 
-    /// Adopts CSR arrays *without* building the intern lookup table: the
-    /// same structural validation as [`Self::from_csr`] (CSR laws, strict
-    /// per-run sortedness) but no duplicate-set scan and an empty lookup,
-    /// for arenas whose sets are distinct by construction. The snapshot
-    /// container decodes through [`Self::from_le_csr_readonly`] — a loaded
-    /// interner is read-only (server mutations rebuild diagrams into fresh
-    /// interners via [`Self::intern_slice`]), so the lookup is never
-    /// consulted, and skipping its reconstruction is most of what makes a
-    /// cold start an order of magnitude faster than a rebuild (experiment
-    /// E14) — and the sweeping engine builds its arena this way.
-    pub(crate) fn from_csr_readonly(
-        flat: Vec<PointId>,
-        ends: Vec<u32>,
-    ) -> Result<Self, &'static str> {
-        Self::validate_csr(&flat, &ends)?;
-        Ok(ResultInterner {
-            flat,
-            ends,
-            lookup: HashChains::default(),
-        })
-    }
-
     /// A read-only copy: the CSR arrays without the intern lookup table —
-    /// the state [`Self::from_csr_readonly`] produces. A published index
+    /// the state a decoded snapshot container holds. A published index
     /// never interns again, so serving layers copy a writer's diagram this
     /// way instead of cloning a table nobody will consult.
     pub fn to_readonly(&self) -> Self {
@@ -350,9 +336,16 @@ impl ResultInterner {
         self
     }
 
-    /// [`Self::from_csr_readonly`] over an id arena still in its
-    /// little-endian container encoding (four bytes per id). The ids are
-    /// decoded a cache-sized block at a time and each block's order is
+    /// Adopts CSR arrays *without* building the intern lookup table, from
+    /// an id arena still in its little-endian container encoding (four
+    /// bytes per id): the same structural validation as [`Self::from_csr`]
+    /// (CSR laws, strict per-run sortedness) but no duplicate-set scan and
+    /// an empty lookup, for arenas whose sets are distinct by construction.
+    /// A loaded interner is read-only (server mutations build or repair
+    /// diagrams into fresh arenas), so the lookup is never consulted, and
+    /// skipping its reconstruction is most of what makes a cold start an
+    /// order of magnitude faster than a rebuild (experiment E14). The ids
+    /// are decoded a cache-sized block at a time and each block's order is
     /// checked while it is still in cache, so the arena is streamed from
     /// memory once.
     pub(crate) fn from_le_csr_readonly(
@@ -382,8 +375,23 @@ impl ResultInterner {
         })
     }
 
+    /// Adopts CSR arrays that a builder produced valid by construction:
+    /// distinct, strictly sorted runs with the empty result first. The
+    /// sweeping engine and the local repair ([`crate::repair`]) assemble
+    /// their arenas this way; debug builds check the laws
+    /// [`Self::from_le_csr_readonly`] checks, release builds skip the scan.
+    /// The interner is read-only.
+    pub(crate) fn from_valid_runs(flat: Vec<PointId>, ends: Vec<u32>) -> Self {
+        debug_assert_eq!(Self::validate_csr(&flat, &ends), Ok(()));
+        ResultInterner {
+            flat,
+            ends,
+            lookup: HashChains::default(),
+        }
+    }
+
     /// The structural CSR laws shared by [`Self::from_csr`] and
-    /// [`Self::from_csr_readonly`]; duplicate detection is separate because
+    /// [`Self::from_valid_runs`]; duplicate detection is separate because
     /// only the deduplicating constructor needs the hash buckets.
     fn validate_csr(flat: &[PointId], ends: &[u32]) -> Result<(), &'static str> {
         Self::check_csr(flat, ends, count_descents(flat))
@@ -1018,7 +1026,8 @@ mod tests {
     #[test]
     fn csr_validation_rejects_unsorted_runs_behind_empty_ones() {
         let csr = |flat: &[u32], ends: &[u32]| {
-            ResultInterner::from_csr_readonly(ids(flat), ends.to_vec()).map(|r| r.len())
+            let le: Vec<u8> = flat.iter().flat_map(|id| id.to_le_bytes()).collect();
+            ResultInterner::from_le_csr_readonly(&le, ends.to_vec()).map(|r| r.len())
         };
         // Descents on run boundaries are fine, empty runs included.
         assert_eq!(csr(&[1, 5, 3, 4], &[0, 2, 2, 4]), Ok(4));

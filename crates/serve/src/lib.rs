@@ -9,7 +9,9 @@
 //! * [`server::SkylineServer`] owns the mutable state and publishes
 //!   immutable [`snapshot::Snapshot`]s through an epoch chain
 //!   ([`skyline_core::epoch`]): writers serialize on one mutex, readers
-//!   are lock-free and always answer from one consistent epoch.
+//!   are lock-free and always answer from one consistent epoch. A small
+//!   batch of updates is published by repairing the last epoch's index
+//!   ([`skyline_core::repair`]), touching only the cells it changes.
 //! * [`arena::HandleArena`] serves the diagram itself: each snapshot maps
 //!   every interned result to sorted handles at most once, so a diagram
 //!   answer is point location plus a borrowed slice — no allocation, no
@@ -57,6 +59,6 @@ pub mod workload;
 
 pub use arena::{CacheStats, HandleArena};
 pub use openloop::{run_open_loop, LatencyHistogram, OpenLoopReport, OpenLoopSpec, FAMILY_NAMES};
-pub use server::{ServerOptions, SkylineServer, SnapshotReader};
+pub use server::{ServerOptions, SkylineServer, SnapshotReader, REPAIR_BATCH};
 pub use snapshot::Snapshot;
 pub use workload::{QueryMix, WorkloadReport, WorkloadSpec};

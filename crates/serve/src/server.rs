@@ -1,9 +1,9 @@
-//! The writer side: [`SkylineServer`] accepts updates, rebuilds snapshots
-//! on the scoped pool, and publishes them through an epoch chain.
+//! The writer side: [`SkylineServer`] accepts updates, builds or repairs
+//! snapshots on the scoped pool, and publishes them through an epoch chain.
 //!
 //! # Concurrency protocol
 //!
-//! All mutable state — the [`MaintainedIndex`] and the
+//! All mutable state — the live point list, the pending updates and the
 //! [`EpochPublisher`] tail — lives behind **one** writer mutex. Writers
 //! (insert/remove/refresh) serialize on it; publication itself is the
 //! single `Arc` swap inside [`EpochPublisher::publish`]. Readers never
@@ -14,13 +14,20 @@
 //!
 //! # Update visibility
 //!
-//! Updates buffer in the maintained index and become visible to readers
-//! only at publication: automatically once the buffer reaches
-//! `rebuild_threshold`, or on an explicit [`SkylineServer::refresh`]
-//! barrier. Until then, readers keep answering from the previous epoch —
-//! always consistent, possibly behind. This is the serving analogue of the
-//! maintained index's lazy-rebuild policy: queries never pay per-update
-//! patch-up cost, and a burst of updates costs one rebuild.
+//! Updates buffer in the writer and become visible to readers only at
+//! publication: automatically once `rebuild_threshold` updates have
+//! buffered, or on an explicit [`SkylineServer::refresh`] barrier. Until
+//! then, readers keep answering from the previous epoch — always
+//! consistent, possibly behind.
+//!
+//! The writer keeps its live points in `PointId` order: an insert appends,
+//! and a remove is order-preserving, so the pending updates replay exactly
+//! onto the published dataset. A publication of at most [`REPAIR_BATCH`]
+//! updates *repairs* the latest snapshot's index update by update
+//! ([`SkylineIndexBuilder::repair`]): each update recomputes only the cells
+//! it changes. A larger batch, a change from the empty set, or an engine
+//! other than sweeping takes the full build. Both paths give the same
+//! index, id for id, so which one ran is invisible to readers.
 
 // The write-side `Mutex` stays `std`: it guards the single-writer half
 // (never the read path — see `no-lock-read-path`), so it is outside the
@@ -30,11 +37,12 @@ use std::sync::Mutex;
 
 use skyline_core::dynamic::DynamicEngine;
 use skyline_core::epoch::{EpochPublisher, EpochReader};
-use skyline_core::geometry::{Dataset, Point};
+use skyline_core::geometry::{Dataset, Point, PointId};
 use skyline_core::index::SkylineIndexBuilder;
-use skyline_core::maintained::{Handle, MaintainedIndex};
+use skyline_core::maintained::Handle;
 use skyline_core::parallel::ParallelConfig;
 use skyline_core::quadrant::QuadrantEngine;
+use skyline_core::repair::Update;
 
 use crate::snapshot::Snapshot;
 
@@ -52,7 +60,7 @@ pub struct ServerOptions {
     pub with_dynamic: bool,
     /// Publish automatically once this many updates have buffered.
     pub rebuild_threshold: usize,
-    /// Pool configuration for snapshot rebuilds (default: from the
+    /// Pool configuration for snapshot builds (default: from the
     /// environment, see [`ParallelConfig::from_env`]).
     pub parallel: ParallelConfig,
     /// Deterministic stall injection on the refresh barrier, as
@@ -80,17 +88,56 @@ impl Default for ServerOptions {
     }
 }
 
+/// The largest batch a publication repairs instead of building. A batch of
+/// `k` updates costs about `k` repairs; a build costs the same whatever
+/// `k` is. Measured at n = 400 on one thread, four repairs cost 0.44 of a
+/// build with a global diagram and 0.96 of one without: four is where the
+/// quadrant-only case breaks even (DESIGN.md §7).
+pub const REPAIR_BATCH: usize = 4;
+
 /// Everything the writer mutates, behind one mutex.
 #[derive(Debug)]
 struct Writer {
-    maintained: MaintainedIndex,
+    /// The live points in `PointId` order of the next epoch's dataset:
+    /// entry `i` is `PointId(i)` and its handle.
+    points: Vec<(Handle, Point)>,
+    /// The handle the next insert gets.
+    next_handle: u64,
+    /// Updates since the last publication, in order. Replayed onto the
+    /// published dataset they give `points`.
+    pending: Vec<Update>,
     publisher: EpochPublisher<Snapshot>,
-    /// Updates buffered since the last publication. Tracked here rather
-    /// than via [`MaintainedIndex::pending_updates`] because the server,
-    /// not the index, decides when the next snapshot is built.
-    dirty: usize,
     /// Total [`SkylineServer::refresh`] calls, for the injected-stall hook.
     refresh_calls: u64,
+}
+
+impl Writer {
+    fn new(points: Vec<(Handle, Point)>, next_handle: u64) -> Self {
+        Writer {
+            points,
+            next_handle,
+            pending: Vec::new(),
+            publisher: EpochPublisher::new(Snapshot::empty(0)),
+            refresh_calls: 0,
+        }
+    }
+
+    fn insert(&mut self, p: Point) -> Handle {
+        let handle = Handle(self.next_handle);
+        self.next_handle += 1;
+        self.points.push((handle, p));
+        self.pending.push(Update::Insert(p));
+        handle
+    }
+
+    fn remove(&mut self, handle: Handle) -> bool {
+        let Some(idx) = self.points.iter().position(|&(h, _)| h == handle) else {
+            return false;
+        };
+        self.points.remove(idx);
+        self.pending.push(Update::Remove(PointId(idx as u32)));
+        true
+    }
 }
 
 /// A concurrently readable, epoch-snapshotted skyline index. See the
@@ -105,19 +152,9 @@ impl SkylineServer {
     /// An empty server at epoch 0 (every answer is empty until points are
     /// inserted and published).
     pub fn new(options: ServerOptions) -> Self {
-        let mut maintained = MaintainedIndex::new(options.engine);
-        // The server owns publication policy; the index must never rebuild
-        // behind its back on the query path (it has no query path here
-        // anyway, but keep the invariant explicit).
-        maintained.rebuild_threshold = usize::MAX;
         SkylineServer {
             options,
-            writer: Mutex::new(Writer {
-                maintained,
-                publisher: EpochPublisher::new(Snapshot::empty(0)),
-                dirty: 0,
-                refresh_calls: 0,
-            }),
+            writer: Mutex::new(Writer::new(Vec::new(), 0)),
         }
     }
 
@@ -127,12 +164,7 @@ impl SkylineServer {
         let server = Self::new(options);
         let handles = {
             let mut w = server.lock_writer();
-            let handles: Vec<Handle> = dataset
-                .points()
-                .iter()
-                .map(|p| w.maintained.insert(*p))
-                .collect();
-            w.dirty += handles.len();
+            let handles: Vec<Handle> = dataset.points().iter().map(|p| w.insert(*p)).collect();
             server.publish(&mut w);
             handles
         };
@@ -143,10 +175,10 @@ impl SkylineServer {
     /// ([`skyline_core::container`]), published once as epoch 1 **without
     /// rebuilding any diagram** — the decoded index is published as-is, so
     /// start-up cost is the container's validated copy instead of the
-    /// `O(n²)` construction (experiment E14 measures the gap). The maintained
-    /// index adopts the container's handle table (or dataset-ordered handles
-    /// `0..n` when the container carries none), so later inserts/removes and
-    /// the rebuilds they trigger behave exactly as on a warm server. The
+    /// `O(n²)` construction (experiment E14 measures the gap). The writer
+    /// adopts the container's handle table (or dataset-ordered handles
+    /// `0..n` when the container carries none) in dataset order, so later
+    /// inserts/removes repair or rebuild exactly as on a warm server. The
     /// returned handles are in dataset order.
     pub fn from_container(
         bytes: &[u8],
@@ -161,22 +193,30 @@ impl SkylineServer {
         } else {
             loaded.handles
         };
-        let pairs: Vec<(Handle, Point)> = handles
+        let mut sorted = handles.clone();
+        sorted.sort_unstable();
+        if sorted.windows(2).any(|w| w[0] == w[1]) {
+            return Err(skyline_core::container::Error::Invalid(
+                "restored handles must be unique",
+            ));
+        }
+        let next_handle = match sorted.last() {
+            Some(h) => {
+                h.0.checked_add(1)
+                    .ok_or(skyline_core::container::Error::Invalid(
+                        "restored handle space is exhausted",
+                    ))?
+            }
+            None => 0,
+        };
+        let points: Vec<(Handle, Point)> = handles
             .iter()
             .copied()
             .zip(loaded.index.dataset().points().iter().copied())
             .collect();
-        let mut maintained = MaintainedIndex::restore(options.engine, pairs)
-            .map_err(skyline_core::container::Error::Invalid)?;
-        maintained.rebuild_threshold = usize::MAX;
         let server = SkylineServer {
             options,
-            writer: Mutex::new(Writer {
-                maintained,
-                publisher: EpochPublisher::new(Snapshot::empty(0)),
-                dirty: 0,
-                refresh_calls: 0,
-            }),
+            writer: Mutex::new(Writer::new(points, next_handle)),
         };
         {
             let mut w = server.lock_writer();
@@ -193,30 +233,54 @@ impl SkylineServer {
             .expect("a writer panicked mid-update; the server state is unrecoverable")
     }
 
-    /// Rebuilds and publishes the next epoch from the writer's current
-    /// point set. Caller holds the writer lock.
+    /// The index builder for this server's options.
+    fn builder(&self) -> SkylineIndexBuilder {
+        SkylineIndexBuilder::default()
+            .engine(self.options.engine)
+            .dynamic_engine(self.options.dynamic_engine)
+            .with_global(self.options.with_global)
+            .with_dynamic(self.options.with_dynamic)
+    }
+
+    /// Publishes the next epoch from the writer's current point set:
+    /// repaired from the latest snapshot when the pending batch is small
+    /// enough, built otherwise. Caller holds the writer lock.
     fn publish(&self, w: &mut Writer) -> u64 {
         let rebuild_start = skyline_core::telemetry::now_ns();
-        let _rebuild = skyline_core::span!("serve.rebuild", w.maintained.len() as u64);
+        let _rebuild = skyline_core::span!("serve.rebuild", w.points.len() as u64);
         let _mem = skyline_core::telemetry::mem::phase(
             skyline_core::telemetry::mem::MemPhase::ServeRebuild,
         );
-        w.maintained.rebuild_with(&self.options.parallel);
         let next_epoch = w.publisher.epoch() + 1;
-        let snapshot = match w.maintained.built() {
-            None => Snapshot::empty(next_epoch),
-            Some((diagram, handles)) => {
-                let dataset =
-                    Dataset::from_coords(w.maintained.live_points().map(|(_, p)| (p.x, p.y)))
+        let snapshot = if w.points.is_empty() {
+            Snapshot::empty(next_epoch)
+        } else {
+            let cfg = &self.options.parallel;
+            let latest = w.publisher.latest();
+            let repaired = match latest.index() {
+                Some(old) if w.pending.len() <= REPAIR_BATCH => {
+                    let _repair = skyline_core::span!("serve.repair", w.pending.len() as u64);
+                    self.builder().repair(old, &w.pending, cfg)
+                }
+                _ => None,
+            };
+            let index = match repaired {
+                Some(index) => {
+                    skyline_core::counter!("serve.repairs").add(1);
+                    index
+                }
+                None => {
+                    skyline_core::counter!("serve.full_builds").add(1);
+                    let dataset = Dataset::from_coords(w.points.iter().map(|&(_, p)| (p.x, p.y)))
                         .expect("live points were valid when inserted");
-                let index = SkylineIndexBuilder::default()
-                    .engine(self.options.engine)
-                    .dynamic_engine(self.options.dynamic_engine)
-                    .with_global(self.options.with_global)
-                    .with_dynamic(self.options.with_dynamic)
-                    .assemble(&dataset, diagram.to_readonly(), &self.options.parallel);
-                Snapshot::new(next_epoch, index, handles.to_vec())
-            }
+                    self.builder().build_with(&dataset, cfg)
+                }
+            };
+            Snapshot::new(
+                next_epoch,
+                index,
+                w.points.iter().map(|&(h, _)| h).collect(),
+            )
         };
         let published = {
             let _publish = skyline_core::span!("serve.publish", next_epoch);
@@ -227,16 +291,16 @@ impl SkylineServer {
         skyline_core::histogram!("serve.rebuild_us")
             .record(skyline_core::telemetry::now_ns().saturating_sub(rebuild_start) / 1_000);
         debug_assert_eq!(published, next_epoch);
-        w.dirty = 0;
+        w.pending.clear();
         published
     }
 
     /// Publishes if updates are buffered. Caller holds the writer lock.
     fn publish_if_dirty(&self, w: &mut Writer) -> u64 {
-        if w.dirty > 0 {
-            self.publish(w)
-        } else {
+        if w.pending.is_empty() {
             w.publisher.epoch()
+        } else {
+            self.publish(w)
         }
     }
 
@@ -245,9 +309,8 @@ impl SkylineServer {
     /// [`SkylineServer::refresh`]).
     pub fn insert(&self, p: Point) -> Handle {
         let mut w = self.lock_writer();
-        let handle = w.maintained.insert(p);
-        w.dirty += 1;
-        if w.dirty >= self.options.rebuild_threshold {
+        let handle = w.insert(p);
+        if w.pending.len() >= self.options.rebuild_threshold {
             self.publish(&mut w);
         }
         handle
@@ -257,11 +320,10 @@ impl SkylineServer {
     /// rules as [`SkylineServer::insert`].
     pub fn remove(&self, handle: Handle) -> bool {
         let mut w = self.lock_writer();
-        if !w.maintained.remove(handle) {
+        if !w.remove(handle) {
             return false;
         }
-        w.dirty += 1;
-        if w.dirty >= self.options.rebuild_threshold {
+        if w.pending.len() >= self.options.rebuild_threshold {
             self.publish(&mut w);
         }
         true
@@ -312,13 +374,13 @@ impl SkylineServer {
 
     /// Updates buffered since the last publication.
     pub fn pending_updates(&self) -> usize {
-        self.lock_writer().dirty
+        self.lock_writer().pending.len()
     }
 
     /// Number of live points, including buffered (not yet published)
     /// updates.
     pub fn len(&self) -> usize {
-        self.lock_writer().maintained.len()
+        self.lock_writer().points.len()
     }
 
     /// True iff no live points (buffered updates included).
@@ -502,8 +564,9 @@ mod tests {
         let q = Point::new(1, 1);
         assert_eq!(cold.latest().quadrant(q), warm.latest().quadrant(q));
         // Mutations after a cold start behave exactly like a warm server:
-        // fresh handles continue past the restored ones, and the rebuild
-        // triggered by the next publication sees the restored points.
+        // fresh handles continue past the restored ones, and the next
+        // publication (a repair of the decoded index) sees the restored
+        // points.
         let h = cold.insert(Point::new(2, 2));
         assert!(h > *cold_handles.last().unwrap());
         cold.refresh();
@@ -520,6 +583,34 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
         assert!(SkylineServer::from_container(&bytes, ServerOptions::default()).is_err());
+    }
+
+    #[test]
+    fn repaired_and_built_epochs_are_the_same_index() {
+        // One server publishes every update on its own (by repair), the
+        // other the whole run as one batch past REPAIR_BATCH (a build);
+        // removals take middle ids. Both must serve the same bytes.
+        let updates = REPAIR_BATCH + 3;
+        let (repairing, handles) =
+            SkylineServer::with_dataset(&small_dataset(), ServerOptions::default());
+        let (building, _) = SkylineServer::with_dataset(&small_dataset(), ServerOptions::default());
+        for k in 0..updates {
+            for server in [&repairing, &building] {
+                if k % 3 == 1 {
+                    assert!(server.remove(handles[k / 3 + 1]));
+                } else {
+                    server.insert(Point::new(4 * k as i64 + 2, 30 - 3 * k as i64));
+                }
+            }
+            repairing.refresh();
+        }
+        building.refresh();
+        assert_eq!(repairing.epoch(), 1 + updates as u64);
+        assert_eq!(building.epoch(), 2);
+        assert_eq!(
+            repairing.latest().to_container(),
+            building.latest().to_container()
+        );
     }
 
     #[test]

@@ -21,7 +21,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use skyline_core::container::encode_index;
 use skyline_core::geometry::{Dataset, Point, PointId};
+use skyline_core::index::SkylineIndex;
 use skyline_core::maintained::Handle;
 use skyline_core::parallel::{self, ParallelConfig};
 use skyline_core::query;
@@ -164,6 +166,25 @@ fn check_trace(snap: &Snapshot, a: Point, b: Point) {
     }
 }
 
+/// The latest snapshot, repaired or built, must encode to the same bytes as
+/// a fresh build of its live points, in the same order, with the same
+/// handles.
+fn assert_latest_is_a_fresh_build(server: &SkylineServer) {
+    let snap = server.latest();
+    let (Some(dataset), Some(index)) = (snap.dataset(), snap.index()) else {
+        return;
+    };
+    let fresh = SkylineIndex::builder()
+        .with_global(index.global_diagram().is_some())
+        .with_dynamic(index.dynamic_diagram().is_some())
+        .build_with(dataset, &ParallelConfig::sequential());
+    assert!(
+        encode_index(index, snap.handles()) == encode_index(&fresh, snap.handles()),
+        "epoch {}: the served index differs from a fresh build",
+        snap.epoch()
+    );
+}
+
 /// Writer role: a deterministic churn of inserts/removes over its own
 /// handle pool, publishing via threshold and explicit refresh barriers.
 fn writer_role(
@@ -260,6 +281,9 @@ fn stress_quadrant_global_under_churn() {
         queries.fetch_add(done.iter().sum::<u64>(), Ordering::Relaxed);
     }
 
+    // Phase A published batches of four, by repair.
+    assert_latest_is_a_fresh_build(&server);
+
     // Phase B: free-running roles — role 0 churns and publishes while
     // roles 1–4 verify continuously against whatever epoch they pinned.
     let writer_pool = phase_a_pool;
@@ -272,6 +296,21 @@ fn stress_quadrant_global_under_churn() {
         }
     });
     queries.fetch_add(done.iter().sum::<u64>(), Ordering::Relaxed);
+
+    // Phase B's batches of six took full builds; single updates repair,
+    // including the removal of a middle id.
+    assert_latest_is_a_fresh_build(&server);
+    let mut rng = Rng::new(0x5EED);
+    for step in 0..6 {
+        if step % 2 == 0 {
+            server.insert(grid_point(&mut rng));
+        } else {
+            let live = server.latest();
+            assert!(server.remove(live.handles()[live.handles().len() / 2]));
+        }
+        server.refresh();
+        assert_latest_is_a_fresh_build(&server);
+    }
 
     let total = queries.load(Ordering::Relaxed);
     assert!(
@@ -302,6 +341,8 @@ fn stress_dynamic_semantics_under_churn() {
         }
     });
     assert_eq!(done[1..].iter().sum::<u64>(), 1200);
+    // The last batch of four was repaired, and the dynamic diagram rebuilt.
+    assert_latest_is_a_fresh_build(&server);
 }
 
 /// A built server and a server cold-started from its container answer the

@@ -116,6 +116,10 @@ fn serving_metrics_are_populated_by_a_workload() {
     };
     let report = workload::run(&server, &spec, &handles);
     assert!(report.queries > 0);
+    // The workload publishes batches of five, past `REPAIR_BATCH`: full
+    // builds. One more single update publishes by repair.
+    server.insert(skyline_core::geometry::Point::new(3, 5));
+    server.refresh();
 
     let snapshot = telemetry::metrics_snapshot();
     let counter = |name: &str| {
@@ -130,9 +134,10 @@ fn serving_metrics_are_populated_by_a_workload() {
         "workload.queries counter below this run's own query count"
     );
     assert!(counter("epoch.publish") >= 1, "publications went uncounted");
+    assert!(counter("serve.repairs") >= 1, "repairs went uncounted");
     assert!(
-        counter("maintained.rebuilds") >= 1,
-        "rebuilds went uncounted"
+        counter("serve.full_builds") >= 1,
+        "full builds went uncounted"
     );
     let rebuild_us = snapshot
         .histograms

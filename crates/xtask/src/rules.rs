@@ -42,7 +42,8 @@ const READ_PATH_SCOPE: &[&str] = &[
 /// construction — its loop walks are per-polyomino output geometry with
 /// genuinely jagged shape, not cell storage. The planar dynamic engines
 /// and their subcell grid are in scope: with `O(n⁴)` subcells, a per-subcell
-/// or per-line `Vec` is the costliest form of the regression.
+/// or per-line `Vec` is the costliest form of the regression. So is the
+/// local repair, which rewrites whole result arenas on every publish.
 const ARENA_SCOPE: &[&str] = &[
     "crates/core/src/container.rs",
     "crates/core/src/result_set.rs",
@@ -55,6 +56,7 @@ const ARENA_SCOPE: &[&str] = &[
     "crates/core/src/dynamic/scanning.rs",
     "crates/core/src/dynamic/subcell.rs",
     "crates/core/src/dynamic/subset.rs",
+    "crates/core/src/repair.rs",
 ];
 
 /// Numeric primitive names, for spotting `as <numeric>` casts.
@@ -896,6 +898,15 @@ mod tests {
             1
         );
         let f = findings_for("crates/core/src/dynamic/subcell.rs", nested);
+        assert_eq!(
+            f.iter().filter(|f| f.rule == "no-per-cell-alloc").count(),
+            1
+        );
+
+        // The local repair writes repaired results into flat arenas too: a
+        // per-cell result vector there fires.
+        let per_cell = "fn repair() { let results: Vec<Vec<PointId>> = Vec::new(); }";
+        let f = findings_for("crates/core/src/repair.rs", per_cell);
         assert_eq!(
             f.iter().filter(|f| f.rule == "no-per-cell-alloc").count(),
             1

@@ -4,10 +4,11 @@
 //! cargo run -p skyline-examples --bin serving
 //! ```
 //!
-//! The serving layer wraps a [`skyline_core::maintained::MaintainedIndex`]
-//! in an epoch-swapped snapshot chain: readers pin an immutable snapshot
-//! and answer every query without taking a lock, while writers batch
-//! updates and publish a new epoch with a single pointer swap. A reader
+//! The serving layer keeps a [`skyline_core::index::SkylineIndex`] in an
+//! epoch-swapped snapshot chain: readers pin an immutable snapshot and
+//! answer every query without taking a lock, while writers batch updates
+//! and publish a new epoch — repaired from the last one when the batch is
+//! small ([`skyline_core::repair`]) — with a single pointer swap. A reader
 //! keeps seeing its pinned epoch until it asks for a newer one — queries
 //! are repeatable by construction.
 
