@@ -42,6 +42,12 @@ impl CellDiagram {
         }
     }
 
+    /// The per-cell result ids in row-major order, without the grid and
+    /// the interner.
+    pub(crate) fn into_cells(self) -> Vec<ResultId> {
+        self.cells
+    }
+
     /// A copy whose result interner is read-only (no intern lookup table;
     /// see [`ResultInterner::to_readonly`]): what a published snapshot
     /// holds, at a fraction of a full clone's bytes.

@@ -13,9 +13,12 @@
 //! The union phase re-encodes each per-quadrant interner as a flat bitset
 //! arena once (`global.encode` span) and then takes every cell union
 //! word-parallel — `union4_words` is one `OR` pass
-//! per 64 points, independent of the skyline sizes — against a
-//! [`BitsetInterner`] that converts to the sorted-id
-//! representation id-for-id at the end.
+//! per 64 points, independent of the skyline sizes. The unions are
+//! interned straight into the output's sorted-id arena (a
+//! `BlockInterner`: looked up by block, stored as ids), which numbers
+//! results by first row-major occurrence with the empty set as id 0, so
+//! no bitset copy of the output is kept. A reflected orthant is reduced to
+//! its arena and cell ids as soon as it is built.
 //!
 //! # Parallel engine
 //!
@@ -25,17 +28,17 @@
 //! and hands back [`BitRuns`] that collapse consecutive equal unions. (No
 //! two neighbouring cells share all four per-quadrant ids: the grid line
 //! between them carries a point, which enters or leaves one orthant.) The
-//! sequential
-//! stitch interns the runs in row-major order, which both dedups storage
-//! and keeps the output identical for every thread count; `threads = 0`
-//! runs the same rows inline.
+//! sequential stitch interns the runs in row-major order, one band of rows
+//! at a time, which both dedups storage and keeps the output identical for
+//! every thread count; `threads = 0` runs the same rows inline, in shorter
+//! bands.
 
 use crate::diagram::CellDiagram;
 use crate::geometry::Dataset;
 use crate::parallel::{self, ParallelConfig};
 use crate::quadrant::QuadrantEngine;
 use crate::result_set::{
-    encode_results, union4_words, words_for, BitRuns, BitsetInterner, ResultId,
+    encode_results, union4_words, words_for, BitRuns, BlockInterner, ResultId,
 };
 
 /// Reflections: `(flip_x, flip_y)` selects the quadrant being reduced to
@@ -110,8 +113,56 @@ fn reflect(dataset: &Dataset, flip_x: bool, flip_y: bool) -> Dataset {
     .expect("reflection preserves dataset validity and coordinate bounds")
 }
 
+/// Rows per band of a sequential union: few enough that the row buffers
+/// (about 25 KB a row at n = 400) stay a small part of the build's memory.
+const UNION_BAND: usize = 16;
+
+/// Rows per band of a parallel union. Each band is one parallel region,
+/// so a band must be long enough for its workers to amortize their
+/// start-up.
+const PARALLEL_UNION_BAND: usize = 64;
+
+/// The four orthants as the union reads them: per orthant, its results
+/// re-encoded as a bitset arena (block `k` holds result `k`) and its cell
+/// ids in its own reflected grid.
+struct Orthants<'a> {
+    arenas: [&'a [u64]; 4],
+    cells: [&'a [ResultId]; 4],
+    words: usize,
+    width: usize,
+    height: usize,
+}
+
+impl Orthants<'_> {
+    /// The four orthants' union over row `j` of the original grid, cell by
+    /// cell left to right. Row `j` is row `j` (or its mirror) of each
+    /// reflected grid, read left to right (or right to left).
+    fn union_row(&self, j: usize) -> BitRuns {
+        let (width, height, words) = (self.width, self.height, self.words);
+        let rows: [&[ResultId]; 4] = std::array::from_fn(|q| {
+            let rj = if REFLECTIONS[q].1 { height - 1 - j } else { j };
+            &self.cells[q][rj * width..(rj + 1) * width]
+        });
+        // A row has at most `width` runs, and nearly always that many:
+        // neighbouring cells never share all four orthant ids.
+        let mut runs = BitRuns::with_capacity(words, width);
+        let mut out = vec![0u64; words];
+        for i in 0..width {
+            let block = |q: usize| {
+                let id = rows[q][if REFLECTIONS[q].0 { width - 1 - i } else { i }];
+                let start = id.0 as usize * words;
+                &self.arenas[q][start..start + words]
+            };
+            union4_words(block(0), block(1), block(2), block(3), &mut out);
+            runs.push_words(&out);
+        }
+        runs
+    }
+}
+
 /// Per-orthant fan-out of the three reflections, then row-banded
-/// word-parallel 4-way unions.
+/// word-parallel 4-way unions interned straight into the output's
+/// sorted-id arena.
 fn union_orthants(
     dataset: &Dataset,
     q1: &CellDiagram,
@@ -123,56 +174,65 @@ fn union_orthants(
     let width = grid.nx() as usize + 1;
     let height = grid.ny() as usize + 1;
 
+    let q1_arena = {
+        let _encode = crate::span!("global.encode", 1);
+        encode_results(q1.results(), words)
+    };
     // Each orthant build keeps the caller's parallel configuration so the
-    // engines' row-band formulations apply inside the workers too.
-    let reflected: Vec<CellDiagram> = {
+    // engines' row-band formulations apply inside the workers too. A worker
+    // keeps only its orthant's arena and cell ids; the sorted-id interner
+    // is freed as soon as it is encoded.
+    let reflected: Vec<(Vec<u64>, Vec<ResultId>)> = {
         let _fanout = crate::span!("global.fanout", 3);
         parallel::map(cfg, &REFLECTIONS[1..], |&(flip_x, flip_y)| {
             let _orthant = crate::span!("global.orthant");
-            engine.build_with(&reflect(dataset, flip_x, flip_y), cfg)
+            let diagram = engine.build_with(&reflect(dataset, flip_x, flip_y), cfg);
+            let arena = {
+                let _encode = crate::span!("global.encode", 1);
+                encode_results(diagram.results(), words)
+            };
+            (arena, diagram.into_cells())
         })
     };
-    let quadrants: [&CellDiagram; 4] = [q1, &reflected[0], &reflected[1], &reflected[2]];
-    // One bitset arena per quadrant, id-for-id with its interner.
-    let arenas: Vec<Vec<u64>> = {
-        let _encode = crate::span!("global.encode", 4);
-        quadrants
-            .iter()
-            .map(|q| encode_results(q.results(), words))
-            .collect()
+    let orthants = Orthants {
+        arenas: std::array::from_fn(|q| match q {
+            0 => q1_arena.as_slice(),
+            _ => reflected[q - 1].0.as_slice(),
+        }),
+        cells: std::array::from_fn(|q| match q {
+            0 => q1.cell_results(),
+            _ => reflected[q - 1].1.as_slice(),
+        }),
+        words,
+        width,
+        height,
     };
 
-    let rows: Vec<BitRuns> = {
-        let _union = crate::span!("global.union", height as u64);
-        parallel::map_indexed(cfg, height, |j| {
-            // Row j of the original grid is row j (or its mirror) of each
-            // reflected grid, read left to right (or right to left).
-            let rows: [&[ResultId]; 4] = std::array::from_fn(|q| {
-                let rj = if REFLECTIONS[q].1 { height - 1 - j } else { j };
-                &quadrants[q].cell_results()[rj * width..(rj + 1) * width]
-            });
-            let mut runs = BitRuns::new(words);
-            let mut out = vec![0u64; words];
-            for i in 0..width {
-                let block = |q: usize| {
-                    let id = rows[q][if REFLECTIONS[q].0 { width - 1 - i } else { i }];
-                    let start = id.0 as usize * words;
-                    &arenas[q][start..start + words]
-                };
-                union4_words(block(0), block(1), block(2), block(3), &mut out);
-                runs.push_words(&out);
-            }
-            runs
-        })
+    // Workers union a band of rows at a time and the stitch interns the
+    // band, in row-major order, before the next one starts, so only one
+    // band of runs is held at once.
+    let band_rows = if cfg.is_sequential() {
+        UNION_BAND
+    } else {
+        PARALLEL_UNION_BAND
     };
-
-    let _intern = crate::span!("global.intern", rows.len() as u64);
-    let mut bits = BitsetInterner::new(words);
+    let mut results = BlockInterner::new(words);
     let mut cells = Vec::with_capacity(width * height);
-    for row in &rows {
-        row.intern_into(&mut bits, &mut cells);
+    for band in (0..height).step_by(band_rows) {
+        let len = band_rows.min(height - band);
+        let rows: Vec<BitRuns> = {
+            let _union = crate::span!("global.union", len as u64);
+            parallel::map_indexed(cfg, len, |k| orthants.union_row(band + k))
+        };
+        let _intern = crate::span!("global.intern", len as u64);
+        for row in &rows {
+            for (block, count) in row.runs() {
+                let id = results.intern(block);
+                cells.extend(std::iter::repeat(id).take(count as usize));
+            }
+        }
     }
-    CellDiagram::from_parts(grid, bits.to_result_interner(), cells)
+    CellDiagram::from_parts(grid, results.finish(), cells)
 }
 
 #[cfg(test)]
@@ -252,6 +312,25 @@ mod tests {
                     "threads = {threads}, seed = {seed}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn banded_parallel_union_matches_sequential_reference() {
+        // Enough distinct y-coordinates for several parallel bands, the
+        // last one partial.
+        let ds = crate::test_data::lcg_dataset(150, 4000, 5);
+        let reference = build_with(&ds, QuadrantEngine::Sweeping, &ParallelConfig::sequential());
+        let height = reference.grid().ny() as usize + 1;
+        assert!(height > 2 * PARALLEL_UNION_BAND && height % PARALLEL_UNION_BAND != 0);
+        for threads in [2, 3] {
+            let banded = build_with(
+                &ds,
+                QuadrantEngine::Sweeping,
+                &ParallelConfig::with_threads(threads),
+            );
+            assert_eq!(banded.cell_results(), reference.cell_results());
+            assert!(banded.same_results(&reference), "threads = {threads}");
         }
     }
 

@@ -21,9 +21,11 @@
 //!   of `u64` words, one bit per point id. The diagram recurrences become
 //!   word-parallel: unions are `OR` over blocks and the scanning recurrence
 //!   of Theorem 1 is three bitwise operations per word (see
-//!   [`scanning_combine_words`]). Builders accumulate cells against the
-//!   bitset arena and convert once, id-for-id, via
-//!   [`BitsetInterner::to_result_interner`], so callers and the
+//!   [`scanning_combine_words`]). The scanning and dynamic builders
+//!   accumulate cells against the bitset arena and convert once,
+//!   id-for-id, via [`BitsetInterner::to_result_interner`]; the global
+//!   union interns its blocks through `BlockInterner`, which keeps them
+//!   only in sorted-id form. Either way callers and the
 //!   serialize/snapshot layers see the sorted-id representation unchanged.
 //!
 //! [`BitRuns`] is the one run-collapsed per-worker buffer, replayed into a
@@ -738,6 +740,74 @@ impl BitsetInterner {
     }
 }
 
+/// Interns bitset blocks straight into a sorted-id CSR arena, for a
+/// builder whose blocks are computed, never looked up again as blocks.
+///
+/// Lookup works as in [`BitsetInterner`] — an FNV-1a hash of the block's
+/// words, confirmed by comparison — but a candidate is compared in its
+/// sorted-id form: equal length (the block's popcount) and every id's bit
+/// set. Only new results are decoded, straight into the arena, so no
+/// bitset copy of the results is kept. Ids are dense in first-occurrence
+/// order with the empty set as id 0, the [`ResultInterner`] contract, and
+/// [`BlockInterner::finish`] hands the arena over without a copy.
+#[derive(Debug)]
+pub(crate) struct BlockInterner {
+    flat: Vec<PointId>,
+    ends: Vec<u32>,
+    lookup: HashChains,
+}
+
+impl BlockInterner {
+    /// An interner with the empty set pre-interned as id 0.
+    pub(crate) fn new(words: usize) -> Self {
+        let mut interner = BlockInterner {
+            flat: Vec::new(),
+            ends: Vec::new(),
+            lookup: HashChains::default(),
+        };
+        let empty = interner.intern(&vec![0u64; words.max(1)]);
+        debug_assert_eq!(empty, ResultId(0));
+        interner
+    }
+
+    /// The id of the set whose bits are `block`, interning it if new.
+    pub(crate) fn intern(&mut self, block: &[u64]) -> ResultId {
+        let h = fnv1a_words(block);
+        let len: u32 = block.iter().map(|w| w.count_ones()).sum();
+        let (flat, ends) = (&self.flat, &self.ends);
+        let same = |k: u32| {
+            let k = k as usize;
+            let start = if k == 0 { 0 } else { ends[k - 1] as usize };
+            let ids = &flat[start..ends[k] as usize];
+            ids.len() == len as usize
+                && ids.iter().all(|id| {
+                    let bit = id.0 as usize;
+                    block[bit / 64] >> (bit % 64) & 1 == 1
+                })
+        };
+        if let Some(k) = self.lookup.find(h, same) {
+            return ResultId(k);
+        }
+        let k = self.ends.len() as u32;
+        decode_words(block, &mut self.flat);
+        self.ends.push(self.flat.len() as u32);
+        self.lookup.push(h, k);
+        ResultId(k)
+    }
+
+    /// The arena as a read-only [`ResultInterner`], trimmed to its length.
+    pub(crate) fn finish(self) -> ResultInterner {
+        let (mut flat, mut ends) = (self.flat, self.ends);
+        flat.shrink_to_fit();
+        ends.shrink_to_fit();
+        ResultInterner {
+            flat,
+            ends,
+            lookup: HashChains::default(),
+        }
+    }
+}
+
 /// Decodes a bitset block into strictly increasing point ids. Public so
 /// differential tests can cross-check the word-parallel operators against
 /// the sorted-id representation.
@@ -799,6 +869,17 @@ impl BitRuns {
         }
     }
 
+    /// An empty run buffer with room for `cells` distinct runs, so a row of
+    /// that many cells fills it without regrowing.
+    pub fn with_capacity(words: usize, cells: usize) -> Self {
+        let words = words.max(1);
+        BitRuns {
+            words,
+            flat: Vec::with_capacity(words * cells),
+            runs: Vec::with_capacity(cells),
+        }
+    }
+
     /// The block stride in words.
     #[inline]
     pub fn words(&self) -> usize {
@@ -848,16 +929,25 @@ impl BitRuns {
         }
     }
 
+    /// The runs in emission order, each as its block and the number of
+    /// cells it covers.
+    pub fn runs(&self) -> impl Iterator<Item = (&[u64], u32)> + '_ {
+        let mut start = 0usize;
+        self.runs.iter().map(move |&(count, end)| {
+            let block = &self.flat[start..end as usize];
+            start = end as usize;
+            (block, count)
+        })
+    }
+
     /// Replays the runs into `bits`, appending one [`ResultId`] per cell to
     /// `cells` in emission order. The ids are bitset ids, valid against the
     /// [`ResultInterner`] produced by
     /// [`BitsetInterner::to_result_interner`].
     pub fn intern_into(&self, bits: &mut BitsetInterner, cells: &mut Vec<ResultId>) {
-        let mut start = 0usize;
-        for &(count, end) in &self.runs {
-            let id = bits.intern_words(&self.flat[start..end as usize]);
+        for (block, count) in self.runs() {
+            let id = bits.intern_words(block);
             cells.extend(std::iter::repeat(ResultId(id)).take(count as usize));
-            start = end as usize;
         }
     }
 }
@@ -1006,6 +1096,18 @@ mod tests {
         assert_eq!(bits.len(), 3);
         assert_eq!(bits.get_words(ia), a);
         assert_eq!(bits.get_words(ib), b);
+        // The CSR-backed interner resolves the same collision, id for id.
+        let mut csr = BlockInterner::new(2);
+        assert_eq!(csr.intern(&a).0, ia);
+        assert_eq!(csr.intern(&b).0, ib);
+        assert_eq!(csr.intern(&a).0, ia);
+        assert_eq!(csr.intern(&[0, 0]), ResultId(0));
+        let csr = csr.finish();
+        let converted = bits.to_result_interner();
+        assert_eq!(csr.len(), 3);
+        for id in [0, ia, ib] {
+            assert_eq!(csr.get(ResultId(id)), converted.get(ResultId(id)));
+        }
     }
 
     #[test]
