@@ -1,10 +1,10 @@
 //! E8 (Criterion form): design-choice ablations — DSG graph vs sweep,
-//! high-d scanning union vs inclusion–exclusion, merging union–find vs
-//! flood fill.
+//! high-d scanning union vs inclusion–exclusion, the union–find merge vs
+//! the quadrant partition derived by result.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skyline_bench::{highd_dataset, sweep_dataset};
-use skyline_core::diagram::merge::{merge, merge_flood_fill};
+use skyline_core::diagram::merge::{merge, quadrant_partition};
 use skyline_core::dsg::DirectedSkylineGraph;
 use skyline_core::geometry::CellGrid;
 use skyline_core::highd::HighDEngine;
@@ -38,8 +38,8 @@ fn bench(c: &mut Criterion) {
 
     let diagram = QuadrantEngine::Sweeping.build(&ds);
     group.bench_function("merge/union_find", |b| b.iter(|| merge(&diagram)));
-    group.bench_function("merge/flood_fill", |b| {
-        b.iter(|| merge_flood_fill(&diagram))
+    group.bench_function("merge/by_result", |b| {
+        b.iter(|| quadrant_partition(&diagram))
     });
 
     // k-skyband engines (k = 3) and the literal Algorithm 4.

@@ -19,7 +19,7 @@ use rand::{Rng, SeedableRng};
 use skyline_bench::json::{render_records, BenchRecord};
 use skyline_bench::quantile::{percentile, slo_violations, SloSpec, PERCENTILE_LABELS};
 use skyline_bench::{domain_dataset, fmt_ms, highd_dataset, sweep_dataset, time_ms, time_stats};
-use skyline_core::diagram::merge::{merge, merge_flood_fill};
+use skyline_core::diagram::merge::{merge, quadrant_partition};
 use skyline_core::dsg::DirectedSkylineGraph;
 use skyline_core::dynamic::{self, DynamicEngine};
 use skyline_core::geometry::{CellGrid, Dataset, Point};
@@ -1902,16 +1902,19 @@ fn e8_ablations() {
         );
     }
 
-    // (d) Merging: union–find vs flood fill.
-    println!("\n### E8d — polyomino merging: union–find vs flood fill (independent)\n");
-    println!("| n | union–find | flood fill |");
+    // (d) Polyominoes: the union–find merge vs the partition derived by
+    // result, which is what an index holds.
+    println!(
+        "\n### E8d — quadrant polyominoes: union–find merge vs derived by result (independent)\n"
+    );
+    println!("| n | union–find | by result |");
     println!("|---|---|---|");
     for n in [200usize, 400, 800] {
         let ds = sweep_dataset(n, Distribution::Independent);
         let d = QuadrantEngine::Sweeping.build(&ds);
         let uf = time_ms(3, || merge(&d));
-        let ff = time_ms(3, || merge_flood_fill(&d));
-        println!("| {n} | {} | {} |", fmt_ms(uf), fmt_ms(ff));
+        let derived = time_ms(3, || quadrant_partition(&d));
+        println!("| {n} | {} | {} |", fmt_ms(uf), fmt_ms(derived));
     }
     println!();
 }

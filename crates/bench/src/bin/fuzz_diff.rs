@@ -228,14 +228,21 @@ fn check_quadrant(spec: &DatasetSpec, ds: &Dataset) {
     match skyline_core::container::decode_index(&container) {
         Ok(loaded)
             if loaded.handles == handles
-                && loaded.index.quadrant_diagram().same_results(&reference) => {}
+                && loaded.index.quadrant_diagram().same_results(&reference)
+                && loaded.index.polyominoes() == index.polyominoes() => {}
         _ => fail("container-roundtrip", spec),
     }
-    // The swept diagram's polyomino merge must be a valid maximal partition.
+    // The swept diagram's polyomino merge must be a valid maximal partition,
+    // and the index's partition (derived by result) the same one.
     let swept = skyline_core::quadrant::sweeping::build(ds);
     let swept_merged = skyline_core::diagram::merge::merge(&swept);
     if let Err(v) = invariants::validate_merged_cells(&swept, &swept_merged) {
         fail(&format!("swept merge invariants: {v}"), spec);
+    }
+    if !same_partition(index.polyominoes(), &swept_merged)
+        || index.polyominoes().len() != swept.results().len()
+    {
+        fail("derived partition vs merge", spec);
     }
     // Literal Algorithm 4 vs corner-key polyomino count (general position
     // only; bounded-domain rounds are skipped by the tie check inside).
@@ -322,6 +329,12 @@ fn check_repair(spec: &DatasetSpec, ds: &Dataset) {
         if encode_index(&repaired, &handles) != encode_index(&built, &handles) {
             fail(&format!("repair {updates:?} (step {step})"), spec);
         }
+        let merged = skyline_core::diagram::merge::merge(repaired.quadrant_diagram());
+        if repaired.polyominoes() != built.polyominoes()
+            || !same_partition(repaired.polyominoes(), &merged)
+        {
+            fail(&format!("repaired partition (step {step})"), spec);
+        }
         let budget = budget(repaired.dataset().len());
         for (diagram, semantics) in [
             (repaired.quadrant_diagram(), CellSemantics::Quadrant),
@@ -338,6 +351,20 @@ fn check_repair(spec: &DatasetSpec, ds: &Dataset) {
         }
         index = repaired;
     }
+}
+
+/// Whether two partitions hold the same `(result, cells)` polyominoes,
+/// whatever their numbering.
+fn same_partition(
+    a: &skyline_core::diagram::MergedDiagram,
+    b: &skyline_core::diagram::MergedDiagram,
+) -> bool {
+    fn sorted(m: &skyline_core::diagram::MergedDiagram) -> Vec<(u32, &[(u32, u32)])> {
+        let mut polys: Vec<_> = m.iter().map(|p| (p.result.0, p.cells)).collect();
+        polys.sort_unstable();
+        polys
+    }
+    sorted(a) == sorted(b)
 }
 
 fn check_dynamic(spec: &DatasetSpec, ds: &Dataset) {

@@ -5,12 +5,14 @@
 //! `serialize.rs` round-trips single diagrams through a parse-heavy
 //! encoding; a server restart therefore pays a full `O(n²)` rebuild. This
 //! module instead persists the PR 8 arena layouts *verbatim* — the CSR
-//! flat-ids/ends interner arrays, the CSR polyomino arenas, the row-major
-//! cell→result arrays, and the grid/bisector line metadata — so a load is a
-//! bounds-checked, checksum-validated copy of flat `u64`/`u32` arrays
-//! straight into [`ResultInterner`]/[`MergedDiagram`] (via
-//! [`ResultInterner::from_csr`] and [`MergedDiagram::from_csr`]) with no
-//! per-element re-interning or re-merging. The bitset word blocks of
+//! flat-ids/ends interner arrays, the row-major cell→result arrays, and the
+//! grid/bisector line metadata — so a load is a bounds-checked,
+//! checksum-validated copy of flat `u64`/`u32` arrays straight into
+//! [`ResultInterner`] (via [`ResultInterner::from_csr`]) with no
+//! per-element re-interning. The polyomino partition is not stored: the
+//! quadrant diagram's regions are one polyomino per result, so the decode
+//! derives it from the quadrant cells in two linear passes
+//! ([`quadrant_partition`]). The bitset word blocks of
 //! `result_set::BitsetInterner` are a build-time acceleration structure:
 //! every finished diagram converges on the sorted-id CSR representation
 //! (`to_result_interner`), which is what the container stores; loaded
@@ -42,14 +44,14 @@
 //! 24 + 32c   payloads            contiguous, in directory order
 //! ```
 //!
-//! Sections, in required id order (5–11 present per the flags):
+//! Sections, in required id order (5–11 present per the flags; id 4, the
+//! major-1 polyomino section, is retired and never reused):
 //!
 //! | id | content |
 //! |----|---------|
 //! | 1  | dataset: `u64 n`, then `n × (i64 x, i64 y)` |
 //! | 2  | quadrant interner: `u64 sets`, `u64 total_ids`, `sets × u32` ends, `total_ids × u32` flat ids |
 //! | 3  | quadrant cells: `u64 count`, `count × u32` result ids (row-major) |
-//! | 4  | polyomino CSR: `u64 polys`, `u64 cells_total`, `polys × u32` results, `polys × u32` ends, `cells_total × (u32, u32)` member cells, `u64 map_len`, `map_len × u32` cell→polyomino |
 //! | 5  | global interner (layout of 2) |
 //! | 6  | global cells (layout of 3) |
 //! | 7  | dynamic x bisector lines: `u64 count`, `count × i64` doubled coords |
@@ -86,7 +88,8 @@
 //! 6. semantic validation while copying out: dataset bounds
 //!    ([`crate::geometry::MAX_COORD`]), interner CSR laws
 //!    ([`ResultInterner::from_csr`]), result ids within the interner, cell
-//!    counts against the rebuilt grid, polyomino CSR partition exactness,
+//!    counts against the rebuilt grid, every quadrant result labelling at
+//!    least one cell (the derived partition has no empty polyomino),
 //!    bisector lines strictly increasing and bounded, handle uniqueness —
 //!    all reported as [`Error::Invalid`].
 //!
@@ -98,13 +101,17 @@
 //! may only add flag bits and section ids, and since this reader rejects
 //! unknown flags and unexpected section lists, a file *using* such an
 //! addition is still rejected (as [`Error::Invalid`]) rather than
-//! mis-read. The golden-fixture test pins both: today's bytes must load
-//! forever under major 1, and a major-2 header must fail with a version
-//! error.
+//! mis-read. The golden-fixture tests pin both: today's bytes must load
+//! forever under major 2, a major-3 header must fail with a version error,
+//! and the committed major-1 fixture is refused with
+//! `Error::BadVersion(1)`: major 1 stored the polyomino partition as
+//! section 4, which this reader no longer reads, so v1 files must be
+//! re-saved from their dataset.
 
-use crate::diagram::{CellDiagram, MergedDiagram};
+use crate::diagram::merge::quadrant_partition;
+use crate::diagram::CellDiagram;
 use crate::dynamic::SubcellDiagram;
-use crate::geometry::{CellGrid, CellIndex, Coord, Dataset, Point, MAX_COORD};
+use crate::geometry::{CellGrid, Coord, Dataset, Point, MAX_COORD};
 use crate::index::SkylineIndex;
 use crate::maintained::Handle;
 use crate::parallel::{self, ParallelConfig};
@@ -154,7 +161,7 @@ fn le_u64(b: &[u8]) -> u64 {
 /// Container magic bytes ("SKyline Diagram Container").
 pub const MAGIC: [u8; 4] = *b"SKDC";
 /// Major format version; readers reject any other major outright.
-pub const MAJOR_VERSION: u16 = 1;
+pub const MAJOR_VERSION: u16 = 2;
 /// Minor format version; informational (see the module docs).
 pub const MINOR_VERSION: u16 = 0;
 
@@ -169,7 +176,8 @@ const KNOWN_FLAGS: u32 = FLAG_GLOBAL | FLAG_DYNAMIC | FLAG_HANDLES;
 const SEC_DATASET: u32 = 1;
 const SEC_QUAD_RESULTS: u32 = 2;
 const SEC_QUAD_CELLS: u32 = 3;
-const SEC_MERGED: u32 = 4;
+// Id 4 held the polyomino partition in major 1. It is retired: the
+// partition is derived from section 3 on decode, and no section reuses 4.
 const SEC_GLOBAL_RESULTS: u32 = 5;
 const SEC_GLOBAL_CELLS: u32 = 6;
 const SEC_DYN_XLINES: u32 = 7;
@@ -244,7 +252,6 @@ fn section_name(id: u32) -> &'static str {
         SEC_DATASET => "dataset",
         SEC_QUAD_RESULTS => "quadrant-results",
         SEC_QUAD_CELLS => "quadrant-cells",
-        SEC_MERGED => "polyominoes",
         SEC_GLOBAL_RESULTS => "global-results",
         SEC_GLOBAL_CELLS => "global-cells",
         SEC_DYN_XLINES => "dynamic-xlines",
@@ -274,114 +281,122 @@ fn put_i64(out: &mut Vec<u8>, v: i64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn encode_dataset(ds: &Dataset) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 16 * ds.len());
-    put_u64(&mut out, ds.len() as u64);
-    for p in ds.points() {
-        put_i64(&mut out, p.x);
-        put_i64(&mut out, p.y);
-    }
-    out
+/// One section payload to encode, borrowed from the index.
+enum Section<'a> {
+    Dataset(&'a Dataset),
+    Interner(&'a ResultInterner),
+    Cells(&'a [ResultId]),
+    Lines(&'a [Coord]),
+    Handles(&'a [Handle]),
 }
 
-fn encode_interner(results: &ResultInterner) -> Vec<u8> {
-    let ends = results.ends();
-    let flat = results.flat_ids();
-    let mut out = Vec::with_capacity(16 + 4 * (ends.len() + flat.len()));
-    put_u64(&mut out, ends.len() as u64);
-    put_u64(&mut out, flat.len() as u64);
-    for &e in ends {
-        put_u32(&mut out, e);
+impl Section<'_> {
+    /// The payload's encoded length in bytes.
+    fn len(&self) -> usize {
+        match self {
+            Section::Dataset(ds) => 8 + 16 * ds.len(),
+            Section::Interner(r) => 16 + 4 * (r.ends().len() + r.flat_ids().len()),
+            Section::Cells(cells) => 8 + 4 * cells.len(),
+            Section::Lines(lines) => 8 + 8 * lines.len(),
+            Section::Handles(handles) => 8 + 8 * handles.len(),
+        }
     }
-    for &id in flat {
-        put_u32(&mut out, id.0);
+
+    /// Appends the payload to `out`.
+    fn write(&self, out: &mut Vec<u8>) {
+        match self {
+            Section::Dataset(ds) => {
+                put_u64(out, ds.len() as u64);
+                for p in ds.points() {
+                    put_i64(out, p.x);
+                    put_i64(out, p.y);
+                }
+            }
+            Section::Interner(r) => {
+                put_u64(out, r.ends().len() as u64);
+                put_u64(out, r.flat_ids().len() as u64);
+                for &e in r.ends() {
+                    put_u32(out, e);
+                }
+                for &id in r.flat_ids() {
+                    put_u32(out, id.0);
+                }
+            }
+            Section::Cells(cells) => {
+                put_u64(out, cells.len() as u64);
+                for &rid in *cells {
+                    put_u32(out, rid.0);
+                }
+            }
+            Section::Lines(lines) => {
+                put_u64(out, lines.len() as u64);
+                for &v in *lines {
+                    put_i64(out, v);
+                }
+            }
+            Section::Handles(handles) => {
+                put_u64(out, handles.len() as u64);
+                for &h in *handles {
+                    put_u64(out, h.0);
+                }
+            }
+        }
     }
-    out
 }
 
-fn encode_cells(cells: &[ResultId]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 4 * cells.len());
-    put_u64(&mut out, cells.len() as u64);
-    for &rid in cells {
-        put_u32(&mut out, rid.0);
+/// The flags and the section list that encode `index` (and `handles`, if
+/// non-empty), in directory order.
+fn sections_of<'a>(
+    index: &'a SkylineIndex,
+    handles: &'a [Handle],
+) -> (u32, Vec<(u32, Section<'a>)>) {
+    let quadrant = index.quadrant_diagram();
+    let mut flags = 0u32;
+    let mut sections = vec![
+        (SEC_DATASET, Section::Dataset(index.dataset())),
+        (SEC_QUAD_RESULTS, Section::Interner(quadrant.results())),
+        (SEC_QUAD_CELLS, Section::Cells(quadrant.cell_results())),
+    ];
+    if let Some(global) = index.global_diagram() {
+        flags |= FLAG_GLOBAL;
+        sections.push((SEC_GLOBAL_RESULTS, Section::Interner(global.results())));
+        sections.push((SEC_GLOBAL_CELLS, Section::Cells(global.cell_results())));
     }
-    out
+    if let Some(dynamic) = index.dynamic_diagram() {
+        flags |= FLAG_DYNAMIC;
+        sections.push((SEC_DYN_XLINES, Section::Lines(dynamic.grid().x_lines())));
+        sections.push((SEC_DYN_YLINES, Section::Lines(dynamic.grid().y_lines())));
+        sections.push((SEC_DYN_RESULTS, Section::Interner(dynamic.results())));
+        sections.push((SEC_DYN_CELLS, Section::Cells(dynamic.cell_results())));
+    }
+    if !handles.is_empty() {
+        flags |= FLAG_HANDLES;
+        sections.push((SEC_HANDLES, Section::Handles(handles)));
+    }
+    (flags, sections)
 }
 
-fn encode_merged(merged: &MergedDiagram) -> Vec<u8> {
-    let results = merged.polyomino_results();
-    let ends = merged.polyomino_ends();
-    let cells = merged.cells_flat();
-    let map = merged.cell_to_polyomino();
-    let mut out =
-        Vec::with_capacity(24 + 4 * (results.len() + ends.len() + map.len()) + 8 * cells.len());
-    put_u64(&mut out, results.len() as u64);
-    put_u64(&mut out, cells.len() as u64);
-    for &rid in results {
-        put_u32(&mut out, rid.0);
-    }
-    for &e in ends {
-        put_u32(&mut out, e);
-    }
-    for &(i, j) in cells {
-        put_u32(&mut out, i);
-        put_u32(&mut out, j);
-    }
-    put_u64(&mut out, map.len() as u64);
-    for &p in map {
-        put_u32(&mut out, p);
-    }
-    out
-}
-
-fn encode_lines(lines: &[Coord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 8 * lines.len());
-    put_u64(&mut out, lines.len() as u64);
-    for &v in lines {
-        put_i64(&mut out, v);
-    }
-    out
-}
-
-fn encode_handles(handles: &[Handle]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + 8 * handles.len());
-    put_u64(&mut out, handles.len() as u64);
-    for &h in handles {
-        put_u64(&mut out, h.0);
-    }
-    out
-}
-
-fn assemble(flags: u32, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
-    let dir_end = HEADER_LEN + DIR_ENTRY_LEN * sections.len();
-    let payload_total: usize = sections.iter().map(|(_, body)| body.len()).sum();
-    let mut out = Vec::with_capacity(dir_end + 8 + payload_total);
+/// Writes the header, a directory of zeroed entries, and a zeroed header
+/// checksum for `count` sections; returns the payload start.
+fn put_header(out: &mut Vec<u8>, flags: u32, count: usize) -> usize {
     out.extend_from_slice(&MAGIC);
-    put_u16(&mut out, MAJOR_VERSION);
-    put_u16(&mut out, MINOR_VERSION);
-    put_u32(&mut out, flags);
-    put_u32(&mut out, sections.len() as u32);
-    let mut offset = (dir_end + 8) as u64;
-    for (id, body) in sections {
-        put_u32(&mut out, *id);
-        put_u32(&mut out, 0);
-        put_u64(&mut out, offset);
-        put_u64(&mut out, body.len() as u64);
-        put_u64(&mut out, fnv64(body));
-        offset += body.len() as u64;
-    }
-    let header_sum = fnv64(&out[..dir_end]);
-    put_u64(&mut out, header_sum);
-    for (_, body) in sections {
-        out.extend_from_slice(body);
-    }
-    out
+    put_u16(out, MAJOR_VERSION);
+    put_u16(out, MINOR_VERSION);
+    put_u32(out, flags);
+    put_u32(out, count as u32);
+    let payload_start = HEADER_LEN + DIR_ENTRY_LEN * count + 8;
+    out.resize(payload_start, 0);
+    payload_start
 }
 
 /// Serializes an index (and, optionally, its serve handle table) into a
 /// container. Pass an empty `handles` slice to omit the handles section;
 /// a non-empty slice must pair one handle per dataset point, in `PointId`
 /// order.
+///
+/// The container is written into one buffer of its exact size: the
+/// header and a zeroed directory first, each payload appended straight
+/// after, then the directory entries and the header checksum patched in.
 pub fn encode_index(index: &SkylineIndex, handles: &[Handle]) -> Vec<u8> {
     let _span = crate::span!("container.encode", index.dataset().len() as u64);
     let _mem = crate::telemetry::mem::phase(crate::telemetry::mem::MemPhase::ContainerEncode);
@@ -390,31 +405,26 @@ pub fn encode_index(index: &SkylineIndex, handles: &[Handle]) -> Vec<u8> {
         handles.is_empty() || handles.len() == index.dataset().len(),
         "a non-empty handle table pairs one handle per point"
     );
-    let quadrant = index.quadrant_diagram();
-    let mut flags = 0u32;
-    let mut sections: Vec<(u32, Vec<u8>)> = vec![
-        (SEC_DATASET, encode_dataset(index.dataset())),
-        (SEC_QUAD_RESULTS, encode_interner(quadrant.results())),
-        (SEC_QUAD_CELLS, encode_cells(quadrant.cell_results())),
-        (SEC_MERGED, encode_merged(index.polyominoes())),
-    ];
-    if let Some(global) = index.global_diagram() {
-        flags |= FLAG_GLOBAL;
-        sections.push((SEC_GLOBAL_RESULTS, encode_interner(global.results())));
-        sections.push((SEC_GLOBAL_CELLS, encode_cells(global.cell_results())));
+    let (flags, sections) = sections_of(index, handles);
+    let payload_total: usize = sections.iter().map(|(_, s)| s.len()).sum();
+    let dir_end = HEADER_LEN + DIR_ENTRY_LEN * sections.len();
+    let mut out = Vec::with_capacity(dir_end + 8 + payload_total);
+    let mut offset = put_header(&mut out, flags, sections.len());
+    for (k, (id, section)) in sections.iter().enumerate() {
+        section.write(&mut out);
+        debug_assert_eq!(out.len() - offset, section.len(), "section {id} length");
+        let length = out.len() - offset;
+        let checksum = fnv64(&out[offset..]);
+        let at = HEADER_LEN + k * DIR_ENTRY_LEN;
+        let entry = &mut out[at..at + DIR_ENTRY_LEN];
+        entry[..4].copy_from_slice(&id.to_le_bytes());
+        entry[8..16].copy_from_slice(&(offset as u64).to_le_bytes());
+        entry[16..24].copy_from_slice(&(length as u64).to_le_bytes());
+        entry[24..].copy_from_slice(&checksum.to_le_bytes());
+        offset = out.len();
     }
-    if let Some(dynamic) = index.dynamic_diagram() {
-        flags |= FLAG_DYNAMIC;
-        sections.push((SEC_DYN_XLINES, encode_lines(dynamic.grid().x_lines())));
-        sections.push((SEC_DYN_YLINES, encode_lines(dynamic.grid().y_lines())));
-        sections.push((SEC_DYN_RESULTS, encode_interner(dynamic.results())));
-        sections.push((SEC_DYN_CELLS, encode_cells(dynamic.cell_results())));
-    }
-    if !handles.is_empty() {
-        flags |= FLAG_HANDLES;
-        sections.push((SEC_HANDLES, encode_handles(handles)));
-    }
-    let out = assemble(flags, &sections);
+    let header_sum = fnv64(&out[..dir_end]);
+    out[dir_end..dir_end + 8].copy_from_slice(&header_sum.to_le_bytes());
     crate::counter!("mem.container.bytes").add(out.len() as u64);
     out
 }
@@ -723,86 +733,6 @@ fn decode_cells(buf: &[u8], expected: usize, interner_len: usize) -> Result<Vec<
     Ok(cells)
 }
 
-fn decode_merged(buf: &[u8], quadrant: &CellDiagram) -> Result<MergedDiagram, Error> {
-    let grid = quadrant.grid();
-    let cell_count = grid.cell_count();
-    let (nx, ny) = (grid.x_lines().len() as u32, grid.y_lines().len() as u32);
-    let mut c = Cursor::new(buf);
-    let polys = c.count(4)?;
-    if polys == 0 {
-        return Err(Error::Invalid("a diagram has at least one polyomino"));
-    }
-    let cells_total = c.u64()?;
-    if cells_total as usize != cell_count {
-        return Err(Error::Invalid(
-            "polyomino cells must partition the grid exactly",
-        ));
-    }
-    let results: Vec<ResultId> = c.u32s(polys)?.map(ResultId).collect();
-    if results
-        .iter()
-        .map(|rid| rid.0)
-        .max()
-        .is_some_and(|rid| rid as usize >= quadrant.results().len())
-    {
-        return Err(Error::Invalid(
-            "polyomino references an uninterned result id",
-        ));
-    }
-    let ends: Vec<u32> = c.u32s(polys)?.collect();
-    // Strictly increasing with ends[0] >= 1: no empty polyominoes.
-    if ends.first().is_some_and(|&e| e < 1) || ends.windows(2).any(|w| w[0] >= w[1]) {
-        return Err(Error::Invalid(
-            "polyomino end offsets must be strictly increasing",
-        ));
-    }
-    if ends.last().copied() != Some(cells_total as u32) {
-        return Err(Error::Invalid(
-            "polyomino end offsets must cover the cell arena exactly",
-        ));
-    }
-    let cells_total = cells_total as usize;
-    let cells_flat: Vec<CellIndex> = c
-        .array(cells_total, 8)?
-        .chunks_exact(8)
-        .map(|b| (le_u32(b), le_u32(&b[4..])))
-        .collect();
-    // Branch-free maxima (they vectorize) instead of a short-circuit scan.
-    let (max_i, max_j) = cells_flat
-        .iter()
-        .fold((0, 0), |(mi, mj), &(i, j)| (mi.max(i), mj.max(j)));
-    if max_i > nx || max_j > ny {
-        return Err(Error::Invalid("polyomino member cell outside the grid"));
-    }
-    let map_len = c.count(4)?;
-    if map_len != cell_count {
-        return Err(Error::Invalid(
-            "cell-to-polyomino map must cover every cell",
-        ));
-    }
-    let map: Vec<u32> = c.u32s(map_len)?.collect();
-    if map.iter().max().is_some_and(|&p| p as usize >= polys) {
-        return Err(Error::Invalid(
-            "cell-to-polyomino map references a missing polyomino",
-        ));
-    }
-    c.finish()?;
-    // Partition exactness: polyomino k must own exactly the cells the
-    // inverse map assigns to it — one O(cells) pass closes the loop.
-    let mut start = 0usize;
-    for (k, &end) in ends.iter().enumerate() {
-        for &cell in &cells_flat[start..end as usize] {
-            if map[grid.linear_index(cell)] as usize != k {
-                return Err(Error::Invalid(
-                    "polyomino membership disagrees with the cell-to-polyomino map",
-                ));
-            }
-        }
-        start = end as usize;
-    }
-    Ok(MergedDiagram::from_csr(results, ends, cells_flat, map))
-}
-
 fn decode_lines(buf: &[u8]) -> Result<Vec<Coord>, Error> {
     let mut c = Cursor::new(buf);
     let count = c.count(8)?;
@@ -893,7 +823,7 @@ fn decode_payloads(
     if flags & !KNOWN_FLAGS != 0 {
         return Err(Error::Invalid("unknown flag bits set"));
     }
-    let mut expected = vec![SEC_DATASET, SEC_QUAD_RESULTS, SEC_QUAD_CELLS, SEC_MERGED];
+    let mut expected = vec![SEC_DATASET, SEC_QUAD_RESULTS, SEC_QUAD_CELLS];
     if flags & FLAG_GLOBAL != 0 {
         expected.extend([SEC_GLOBAL_RESULTS, SEC_GLOBAL_CELLS]);
     }
@@ -938,7 +868,9 @@ fn decode_payloads(
             let results = decode_interner(payload(SEC_QUAD_RESULTS), n)?;
             let cells = decode_cells(payload(SEC_QUAD_CELLS), grid.cell_count(), results.len())?;
             let quadrant = CellDiagram::from_parts(grid.clone(), results, cells);
-            let merged = decode_merged(payload(SEC_MERGED), &quadrant)?;
+            let merged = quadrant_partition(&quadrant).ok_or(Error::Invalid(
+                "quadrant interner holds a result that no cell uses",
+            ))?;
             Ok((quadrant, merged))
         },
         || -> Result<_, Error> {
@@ -1092,6 +1024,86 @@ mod tests {
         assert_eq!(outcome(&both, &parallel), want);
     }
 
+    /// The major-1 encoder's shape: every section in its own buffer, then
+    /// the header, the directory and the payloads copied into the output.
+    fn per_section_encode(index: &SkylineIndex, handles: &[Handle]) -> Vec<u8> {
+        let (flags, sections) = sections_of(index, handles);
+        let bodies: Vec<(u32, Vec<u8>)> = sections
+            .iter()
+            .map(|(id, section)| {
+                let mut body = Vec::new();
+                section.write(&mut body);
+                assert_eq!(body.len(), section.len(), "section {id} length");
+                (*id, body)
+            })
+            .collect();
+        let dir_end = HEADER_LEN + DIR_ENTRY_LEN * bodies.len();
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        put_u16(&mut out, MAJOR_VERSION);
+        put_u16(&mut out, MINOR_VERSION);
+        put_u32(&mut out, flags);
+        put_u32(&mut out, bodies.len() as u32);
+        let mut offset = (dir_end + 8) as u64;
+        for (id, body) in &bodies {
+            put_u32(&mut out, *id);
+            put_u32(&mut out, 0);
+            put_u64(&mut out, offset);
+            put_u64(&mut out, body.len() as u64);
+            put_u64(&mut out, fnv64(body));
+            offset += body.len() as u64;
+        }
+        let header_sum = fnv64(&out[..dir_end]);
+        put_u64(&mut out, header_sum);
+        for (_, body) in &bodies {
+            out.extend_from_slice(body);
+        }
+        out
+    }
+
+    #[test]
+    fn single_buffer_encode_matches_a_per_section_reference() {
+        for (global, dynamic) in [(false, false), (true, false), (false, true), (true, true)] {
+            let index = hotel_index(global, dynamic);
+            for handles in [Vec::new(), handles_for(&index)] {
+                let bytes = encode_index(&index, &handles);
+                assert_eq!(bytes, per_section_encode(&index, &handles));
+                assert_eq!(bytes.capacity(), bytes.len(), "one exact-size buffer");
+            }
+        }
+    }
+
+    #[test]
+    fn decoded_partition_is_the_region_of_each_result() {
+        let index = hotel_index(true, false);
+        let loaded = decode_index(&encode_index(&index, &[])).unwrap().index;
+        let quadrant = loaded.quadrant_diagram();
+        let partition = loaded.polyominoes();
+        assert_eq!(partition, index.polyominoes());
+        assert_eq!(partition.len(), quadrant.results().len());
+        crate::invariants::validate_merged_cells(quadrant, partition)
+            .unwrap_or_else(|v| panic!("{v}"));
+    }
+
+    #[test]
+    fn a_result_no_cell_uses_is_refused() {
+        let index = hotel_index(false, false);
+        let mut bytes = encode_index(&index, &[]);
+        let (_, dir) = validate_directory(&bytes).unwrap();
+        let cells = dir.iter().find(|e| e.id == SEC_QUAD_CELLS).unwrap();
+        // Every cell to the empty result: each other interned result then
+        // labels no cell, though every cell id stays valid.
+        let ids = cells.offset as usize + 8..(cells.offset + cells.length) as usize;
+        bytes[ids].fill(0);
+        reseal(&mut bytes);
+        assert_eq!(
+            decode_index(&bytes).map(|_| ()),
+            Err(Error::Invalid(
+                "quadrant interner holds a result that no cell uses"
+            ))
+        );
+    }
+
     #[test]
     fn encoding_is_deterministic() {
         let index = hotel_index(true, true);
@@ -1108,10 +1120,10 @@ mod tests {
         let bytes = encode_index(&index, &handles_for(&index));
         let dir = sections(&bytes).unwrap();
         let ids: Vec<u32> = dir.iter().map(|s| s.id).collect();
-        assert_eq!(ids, vec![1, 2, 3, 4, 5, 6, 11]);
+        assert_eq!(ids, vec![1, 2, 3, 5, 6, 11]);
         assert_eq!(dir[0].name, "dataset");
         let total: u64 = dir.iter().map(|s| s.length).sum();
-        assert_eq!(dir[0].offset, (HEADER_LEN + 7 * DIR_ENTRY_LEN + 8) as u64);
+        assert_eq!(dir[0].offset, (HEADER_LEN + 6 * DIR_ENTRY_LEN + 8) as u64);
         assert_eq!(dir[0].offset + total, bytes.len() as u64);
     }
 
@@ -1126,8 +1138,11 @@ mod tests {
         assert!(matches!(decode_index(&bad), Err(Error::BadMagic)));
 
         let mut bumped = bytes.clone();
-        bumped[4] = 2; // major = 2
-        assert!(matches!(decode_index(&bumped), Err(Error::BadVersion(2))));
+        bumped[4] = 3; // major = 3
+        assert!(matches!(decode_index(&bumped), Err(Error::BadVersion(3))));
+        let mut v1 = bytes.clone();
+        v1[4] = 1; // major 1 stored the polyomino section
+        assert!(matches!(decode_index(&v1), Err(Error::BadVersion(1))));
 
         let mut flipped = bytes.clone();
         let last = flipped.len() - 1;

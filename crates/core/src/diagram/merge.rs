@@ -3,9 +3,14 @@
 //! The paper merges neighboring cells that share a skyline result
 //! ("for each skyline cell, we search its upper and right cells and combine
 //! those cells if they share the same skyline", `O(n²)` total). With interned
-//! results the comparison is a `u32` equality; connected components are
-//! extracted with a union–find over the grid's 4-adjacency, and a flood-fill
-//! alternative is kept for the E8d merging ablation.
+//! results the comparison is a `u32` equality; [`merge`] extracts connected
+//! components with a union–find over the grid's 4-adjacency. It is the
+//! general merge, for global, subcell and hand-built diagrams.
+//!
+//! A **quadrant** diagram needs no merge: the region of each distinct result
+//! is one polyomino (ALGORITHMS.md §11), so [`quadrant_partition`] numbers
+//! polyomino `k` as the region of result `k` and derives the partition in one
+//! counting pass and one scatter pass over the cells.
 //!
 //! Component collection is a two-pass counting build: one labelling pass
 //! assigns dense polyomino ids and per-polyomino cell counts, then a scatter
@@ -15,6 +20,7 @@
 use crate::diagram::cell_diagram::CellDiagram;
 use crate::diagram::polyomino::MergedDiagram;
 use crate::geometry::conv::{narrow, widen};
+use crate::result_set::ResultId;
 
 /// Union–find over linear cell indices.
 struct UnionFind {
@@ -55,6 +61,76 @@ pub fn merge(diagram: &CellDiagram) -> MergedDiagram {
     })
 }
 
+/// The polyomino partition of a **quadrant** diagram, derived without a
+/// merge: polyomino `k` is the region of result `k`.
+///
+/// Every result's region of a quadrant diagram is 4-connected (each of its
+/// cells reaches the region's corner cell by a monotone path inside the
+/// region; ALGORITHMS.md §11), so the partition needs no component search.
+/// One counting pass sizes each result's region, and one row-major scatter
+/// pass places every cell, so each polyomino's cells come out row-major.
+/// Both passes step over each row's runs of equal ids, one cursor update
+/// per run. The cell → polyomino map is a copy of the result ids.
+///
+/// Returns `None` when some interned result labels no cell: such a
+/// diagram is not a quadrant diagram as every engine interns it. Only the
+/// result ids are read; a diagram whose regions are not connected (a global
+/// or hand-built one) must go through [`merge`].
+pub fn quadrant_partition(diagram: &CellDiagram) -> Option<MergedDiagram> {
+    let cells = diagram.cell_results();
+    let width = widen(diagram.grid().nx()) + 1;
+    // Pass 1: cells per result, then each result's first slot.
+    let mut cursor = vec![0u32; diagram.results().len()];
+    for row in cells.chunks_exact(width) {
+        for (_, len, rid) in row_runs(row) {
+            cursor[widen(rid.0)] += len;
+        }
+    }
+    if cursor.contains(&0) {
+        return None;
+    }
+    let mut start = 0u32;
+    for slot in &mut cursor {
+        let count = *slot;
+        *slot = start;
+        start += count;
+    }
+    // Pass 2: row-major scatter. Each cursor ends at its polyomino's end
+    // offset, so it becomes the `ends` table.
+    let mut cells_flat = vec![(0u32, 0u32); cells.len()];
+    for (row, j) in cells.chunks_exact(width).zip(0u32..) {
+        for (first, len, rid) in row_runs(row) {
+            let slot = &mut cursor[widen(rid.0)];
+            let run = widen(*slot)..widen(*slot + len);
+            for (cell, i) in cells_flat[run].iter_mut().zip(first..) {
+                *cell = (i, j);
+            }
+            *slot += len;
+        }
+    }
+    let results = (0..narrow(cursor.len())).map(ResultId).collect();
+    let cell_to_polyomino = cells.iter().map(|rid| rid.0).collect();
+    Some(MergedDiagram::from_csr(
+        results,
+        cursor,
+        cells_flat,
+        cell_to_polyomino,
+    ))
+}
+
+/// The runs of equal ids in one row, left to right: `(first column,
+/// length, id)`.
+fn row_runs(row: &[ResultId]) -> impl Iterator<Item = (u32, u32, ResultId)> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let &rid = row.get(start)?;
+        let len = row[start..].iter().take_while(|&&r| r == rid).count();
+        let run = (narrow(start), narrow(len), rid);
+        start += len;
+        Some(run)
+    })
+}
+
 /// Merges a dynamic subcell diagram into its polyomino partition (the
 /// paper's Section-V merging step). Subcell indices play the role of cell
 /// indices in the output.
@@ -68,7 +144,7 @@ pub fn merge_subcells(diagram: &crate::dynamic::SubcellDiagram) -> MergedDiagram
 /// Shared union–find merge over any row-major result grid.
 fn merge_grid(
     width: usize,
-    cells: &[crate::result_set::ResultId],
+    cells: &[ResultId],
     index_of: impl Fn(usize) -> (u32, u32),
 ) -> MergedDiagram {
     let height = cells.len() / width;
@@ -92,66 +168,6 @@ fn merge_grid(
     collect_components_grid(cells, index_of, |idx| uf.find(narrow(idx)))
 }
 
-/// Flood-fill merging, kept as the ablation/back-to-back check for
-/// [`merge`]. Produces identical polyominoes (up to ordering, which both
-/// functions normalize to first-cell row-major order).
-pub fn merge_flood_fill(diagram: &CellDiagram) -> MergedDiagram {
-    let grid = diagram.grid();
-    let width = widen(grid.nx()) + 1;
-    let height = widen(grid.ny()) + 1;
-    let cells = diagram.cell_results();
-
-    let mut label = vec![u32::MAX; cells.len()];
-    let mut next = 0u32;
-    let mut stack = Vec::new();
-    for start in 0..cells.len() {
-        if label[start] != u32::MAX {
-            continue;
-        }
-        let lab = next;
-        next += 1;
-        label[start] = lab;
-        stack.push(start);
-        while let Some(idx) = stack.pop() {
-            let (i, j) = (idx % width, idx / width);
-            let mut visit = |nb: usize| {
-                if label[nb] == u32::MAX && cells[nb] == cells[idx] {
-                    label[nb] = lab;
-                    stack.push(nb);
-                }
-            };
-            if i + 1 < width {
-                visit(idx + 1);
-            }
-            if i > 0 {
-                visit(idx - 1);
-            }
-            if j + 1 < height {
-                visit(idx + width);
-            }
-            if j > 0 {
-                visit(idx - width);
-            }
-        }
-    }
-
-    collect_components(diagram, |idx| label[idx])
-}
-
-/// Groups cells by component representative into polyominoes ordered by
-/// their first (row-major) cell.
-fn collect_components(
-    diagram: &CellDiagram,
-    component_of: impl FnMut(usize) -> u32,
-) -> MergedDiagram {
-    let grid = diagram.grid();
-    collect_components_grid(
-        diagram.cell_results(),
-        |idx| grid.cell_from_linear(idx),
-        component_of,
-    )
-}
-
 /// Marks a component representative without a polyomino id yet.
 const UNLABELLED: u32 = u32::MAX;
 
@@ -164,14 +180,14 @@ const UNLABELLED: u32 = u32::MAX;
 /// visit order makes both the polyomino order and the within-polyomino cell
 /// order row-major, matching the old per-`Vec` push order exactly.
 fn collect_components_grid(
-    cells: &[crate::result_set::ResultId],
+    cells: &[ResultId],
     index_of: impl Fn(usize) -> (u32, u32),
     mut component_of: impl FnMut(usize) -> u32,
 ) -> MergedDiagram {
-    // Representatives are cell indices (or flood-fill labels, which are
-    // fewer), so a dense table maps them to polyomino ids.
+    // Representatives are cell indices, so a dense table maps them to
+    // polyomino ids.
     let mut poly_index = vec![UNLABELLED; cells.len()];
-    let mut results: Vec<crate::result_set::ResultId> = Vec::new();
+    let mut results: Vec<ResultId> = Vec::new();
     let mut counts: Vec<u32> = Vec::new();
     let mut cell_to_polyomino = vec![0u32; cells.len()];
 
@@ -258,11 +274,33 @@ mod tests {
     }
 
     #[test]
-    fn flood_fill_agrees_with_union_find() {
-        let d = fixture();
-        let a = merge(&d);
-        let b = merge_flood_fill(&d);
-        assert_eq!(a, b);
+    fn quadrant_partition_numbers_polyominoes_by_result() {
+        let ds = crate::test_data::hotel_dataset();
+        let d = crate::quadrant::QuadrantEngine::Sweeping.build(&ds);
+        let derived = quadrant_partition(&d).expect("every quadrant result labels a cell");
+        assert_eq!(derived.len(), d.results().len());
+        for (k, poly) in derived.iter().enumerate() {
+            assert_eq!(poly.result, ResultId(narrow(k)));
+        }
+        assert_eq!(derived.cell_to_polyomino().len(), d.cell_results().len());
+        crate::invariants::validate_merged_cells(&d, &derived).unwrap_or_else(|v| panic!("{v}"));
+        // The same regions as the union–find merge, in another order.
+        let merged = merge(&d);
+        let mut by_result: Vec<_> = merged.iter().collect();
+        by_result.sort_by_key(|p| p.result);
+        assert_eq!(by_result, derived.iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn quadrant_partition_refuses_a_result_no_cell_uses() {
+        let ds = Dataset::from_coords([(0, 0), (10, 10)]).unwrap();
+        let grid = CellGrid::new(&ds);
+        let mut results = ResultInterner::new();
+        let a = results.intern_sorted(vec![PointId(0)]);
+        let _unused = results.intern_sorted(vec![PointId(1)]);
+        let e = results.empty();
+        let cells = vec![a, a, e, a, a, e, e, e, e];
+        assert!(quadrant_partition(&CellDiagram::from_parts(grid, results, cells)).is_none());
     }
 
     #[test]
@@ -329,7 +367,7 @@ mod tests {
             .expect("the point's own region exists");
         assert_eq!(occupied.cells, [(0, 0)]);
         crate::invariants::validate_merged_cells(&d, &merged).unwrap_or_else(|v| panic!("{v}"));
-        assert_eq!(merged, merge_flood_fill(&d));
+        assert_eq!(quadrant_partition(&d).map(|p| p.len()), Some(2));
 
         // The dynamic diagram of a single point is everywhere {p0}: one
         // polyomino covering all four subcells.

@@ -134,18 +134,13 @@ pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> SubcellDiagram {
     let rows: Vec<BitRuns> = parallel::map_indexed(cfg, height, |j| {
         let mut dy = Vec::with_capacity(n);
         row_distances(j, &mut dy);
-        let mut cand = vec![0u64; words];
-        let mut row = seeds[j * words..(j + 1) * words].to_vec();
-        let mut next = vec![0u64; words];
-        let mut runs = BitRuns::new(words);
-        runs.push_words(&row);
-        for i in 1..width {
-            let mask = &x_masks[(i - 1) * words..i * words];
-            step(&row, mask, column(i), &dy, &mut cand, &mut next);
-            runs.push_words(&next);
-            std::mem::swap(&mut row, &mut next);
-        }
-        runs
+        sweep_row(
+            &seeds[j * words..(j + 1) * words],
+            &x_masks,
+            &col_dist,
+            &dy,
+            width,
+        )
     });
 
     let mut bits = BitsetInterner::new(words);
@@ -154,6 +149,39 @@ pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> SubcellDiagram {
         row.intern_into(&mut bits, &mut cells);
     }
     SubcellDiagram::from_parts(grid, bits.to_result_interner(), cells)
+}
+
+/// Sweeps one row rightward from its column-0 skyline `seed` across each
+/// vertical line (contributor masks `x_masks`, one `seed.len()`-word mask
+/// per line), with the row's distances `dy` and the column distances
+/// `col_dist` (one `dy.len()`-slice per column); returns the row's
+/// run-collapsed skylines.
+///
+/// Kept out of line: inlined into [`build_with`], the loop's code
+/// generation shifts with unrelated changes elsewhere in the crate, and
+/// the build time with it.
+#[inline(never)]
+fn sweep_row(seed: &[u64], x_masks: &[u64], col_dist: &[u64], dy: &[u64], width: usize) -> BitRuns {
+    let (words, n) = (seed.len(), dy.len());
+    let mut cand = vec![0u64; words];
+    let mut row = seed.to_vec();
+    let mut next = vec![0u64; words];
+    let mut runs = BitRuns::new(words);
+    runs.push_words(&row);
+    for i in 1..width {
+        let mask = &x_masks[(i - 1) * words..i * words];
+        step(
+            &row,
+            mask,
+            &col_dist[i * n..(i + 1) * n],
+            dy,
+            &mut cand,
+            &mut next,
+        );
+        runs.push_words(&next);
+        std::mem::swap(&mut row, &mut next);
+    }
+    runs
 }
 
 /// One `words`-wide mask per line, bit `p` set iff `p` contributes to it.

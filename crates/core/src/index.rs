@@ -2,7 +2,7 @@
 //!
 //! Most users want "build the structure once, then ask skyline questions":
 //! this module bundles the dataset, the quadrant/global cell diagrams, the
-//! dynamic subcell diagram, and the merged polyomino partition behind one
+//! dynamic subcell diagram, and the polyomino partition behind one
 //! type, with a builder to opt out of the expensive parts (the dynamic
 //! diagram is `O(n⁴)` cells and only worth building for small `n`).
 //!
@@ -20,7 +20,7 @@
 //! # Ok::<(), skyline_core::Error>(())
 //! ```
 
-use crate::diagram::merge::merge;
+use crate::diagram::merge::{merge, quadrant_partition};
 use crate::diagram::{CellDiagram, MergedDiagram, PolyominoRef};
 use crate::dynamic::{DynamicEngine, SubcellDiagram};
 use crate::geometry::{Dataset, Point, PointId};
@@ -90,9 +90,10 @@ impl SkylineIndexBuilder {
     }
 
     /// Assembles an index around an already-built quadrant diagram,
-    /// constructing only the remaining parts (polyomino merge, optional
-    /// global/dynamic diagrams). The global diagram reuses `quadrant` as
-    /// its first orthant ([`crate::global::build_around`]).
+    /// constructing only the remaining parts (the polyomino partition,
+    /// derived by result, and the optional global/dynamic diagrams). The
+    /// global diagram reuses `quadrant` as its first orthant
+    /// ([`crate::global::build_around`]).
     ///
     /// `quadrant` must be a quadrant diagram of `dataset` — callers that
     /// already hold one, such as a `MaintainedIndex` after its rebuild,
@@ -110,10 +111,7 @@ impl SkylineIndexBuilder {
         );
         let _assemble = crate::span!("index.assemble", dataset.len() as u64);
         crate::counter!("index.assembles").add(1);
-        let merged = {
-            let _merge = crate::span!("index.merge");
-            merge(&quadrant)
-        };
+        let merged = partition(&quadrant);
         let global = self
             .with_global
             .then(|| crate::global::build_around(dataset, &quadrant, self.engine, cfg));
@@ -131,8 +129,8 @@ impl SkylineIndexBuilder {
 
     /// The index of `old`'s dataset after `updates`, applied in order, by
     /// local repair ([`crate::repair`]) instead of a build: only the cells
-    /// each update changes are recomputed, then the polyominoes are merged
-    /// once and the dynamic diagram, if asked for, is built. The result is
+    /// each update changes are recomputed, then the polyomino partition is
+    /// derived once and the dynamic diagram, if asked for, is built. The result is
     /// id-for-id equal to [`Self::build_with`] over the updated points in
     /// the same order, so containers encode to the same bytes.
     ///
@@ -160,10 +158,7 @@ impl SkylineIndexBuilder {
                 update,
             )?;
         }
-        let merged = {
-            let _merge = crate::span!("index.merge");
-            merge(&state.quadrant)
-        };
+        let merged = partition(&state.quadrant);
         let dynamic = self
             .with_dynamic
             .then(|| self.dynamic_engine.build_with(&state.dataset, cfg));
@@ -175,6 +170,15 @@ impl SkylineIndexBuilder {
             dynamic,
         })
     }
+}
+
+/// The polyomino partition of an index's quadrant diagram, numbered by
+/// result ([`quadrant_partition`]). A diagram that breaks
+/// [`SkylineIndexBuilder::assemble`]'s contract (an interned result that
+/// labels no cell) takes the general merge instead of a panic.
+fn partition(quadrant: &CellDiagram) -> MergedDiagram {
+    let _merge = crate::span!("index.merge");
+    quadrant_partition(quadrant).unwrap_or_else(|| merge(quadrant))
 }
 
 /// Precomputed skyline diagrams over one dataset, answering all three query

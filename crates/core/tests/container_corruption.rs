@@ -16,8 +16,8 @@ use skyline_core::maintained::Handle;
 const HEADER_LEN: usize = 16;
 const DIR_ENTRY_LEN: usize = 32;
 
-/// A canonical full container: all eleven sections present (quadrant,
-/// polyominoes, global, dynamic, handles) over a small mixed dataset.
+/// A canonical full container: all ten sections present (dataset,
+/// quadrant, global, dynamic, handles) over a small mixed dataset.
 fn canonical_bytes() -> Vec<u8> {
     let ds = Dataset::from_coords([(1, 9), (4, 4), (9, 1), (6, 7), (2, 2)])
         .expect("coordinates are tiny and valid");
@@ -102,7 +102,7 @@ fn every_single_bit_flip_is_rejected() {
 fn truncation_at_every_section_boundary_is_rejected() {
     let bytes = canonical_bytes();
     let dir = sections(&bytes).unwrap();
-    assert_eq!(dir.len(), 11, "the canonical fixture has all sections");
+    assert_eq!(dir.len(), 10, "the canonical fixture has all sections");
     let payload_start = dir[0].offset as usize;
     let mut cuts = vec![0, 4, 8, 12, HEADER_LEN, payload_start - 8, payload_start];
     cuts.extend(dir.iter().map(|s| (s.offset + s.length) as usize));

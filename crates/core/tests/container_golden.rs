@@ -2,7 +2,13 @@
 //! `.skd` file is committed under `tests/fixtures/` and must load
 //! byte-exactly forever — any change to the on-disk encoding without a
 //! version bump fails here (and CI additionally fails if the fixture file
-//! itself is regenerated in a commit that does not bump the version).
+//! itself is regenerated or a new one added in a commit that does not bump
+//! the version).
+//!
+//! `hotel_v2.skd` is the current major. `hotel_v1.skd` is the same index
+//! under major 1, which stored the polyomino partition as section 4; it
+//! stays committed as the fixture every reader must refuse with
+//! `Error::BadVersion(1)`.
 //!
 //! To regenerate after an *intentional* format change (major bump):
 //!
@@ -20,6 +26,10 @@ use skyline_core::index::SkylineIndex;
 use skyline_core::maintained::Handle;
 
 fn fixture_path() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/hotel_v2.skd")
+}
+
+fn v1_fixture_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/hotel_v1.skd")
 }
 
@@ -40,7 +50,7 @@ fn golden_bytes() -> Vec<u8> {
 #[test]
 fn fixture_is_byte_exact() {
     let committed = std::fs::read(fixture_path())
-        .expect("tests/fixtures/hotel_v1.skd must be committed alongside this test");
+        .expect("tests/fixtures/hotel_v2.skd must be committed alongside this test");
     assert_eq!(
         golden_bytes(),
         committed,
@@ -52,12 +62,30 @@ fn fixture_is_byte_exact() {
 #[test]
 fn fixture_loads_and_answers() {
     let committed = std::fs::read(fixture_path()).expect("fixture file readable");
-    assert_eq!(sections(&committed).unwrap().len(), 11);
+    assert_eq!(sections(&committed).unwrap().len(), 10);
     let loaded = decode_index(&committed).expect("committed fixture must decode");
     assert_eq!(loaded.index.dataset().len(), 6);
     assert_eq!(loaded.handles.first(), Some(&Handle(100)));
     assert!(loaded.index.global_diagram().is_some());
     assert!(loaded.index.dynamic_diagram().is_some());
+    let quadrant = loaded.index.quadrant_diagram();
+    assert_eq!(loaded.index.polyominoes().len(), quadrant.results().len());
+}
+
+/// Major 1 stored the polyomino partition, which this reader derives
+/// instead: the committed v1 file is refused by version, before any
+/// checksum is read, whatever its payloads hold.
+#[test]
+fn v1_fixture_is_refused_with_a_version_error() {
+    let v1 = std::fs::read(v1_fixture_path()).expect("tests/fixtures/hotel_v1.skd is committed");
+    assert_eq!(u16::from_le_bytes([v1[4], v1[5]]), 1);
+    assert_eq!(decode_index(&v1).unwrap_err(), Error::BadVersion(1));
+    assert_eq!(sections(&v1).unwrap_err(), Error::BadVersion(1));
+    let mut corrupt = v1.clone();
+    let last = corrupt.len() - 1;
+    corrupt[last] ^= 1;
+    corrupt[20] ^= 1;
+    assert_eq!(decode_index(&corrupt).unwrap_err(), Error::BadVersion(1));
 }
 
 #[test]
@@ -85,7 +113,7 @@ fn bumped_major_version_is_a_version_error() {
 /// Regenerates the committed fixture. Ignored by default; only meaningful
 /// together with an intentional `MAJOR_VERSION` bump.
 #[test]
-#[ignore = "writes tests/fixtures/hotel_v1.skd; run only on an intentional format change"]
+#[ignore = "writes tests/fixtures/hotel_v2.skd; run only on an intentional format change"]
 fn regenerate_fixture() {
     if std::env::var_os("SKYLINE_REGEN_FIXTURE").is_none() {
         eprintln!("set SKYLINE_REGEN_FIXTURE=1 to actually rewrite the fixture");

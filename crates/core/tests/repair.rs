@@ -1,12 +1,14 @@
 //! Local repair against the build it replaces: after every update of a
 //! seeded churn, the repaired index must equal a fresh build over the same
 //! points in the same order id for id — quadrant and global cell ids,
-//! result arenas, the merged partition, and the container bytes.
+//! result arenas, the polyomino partition (the one derived from the fresh
+//! build's quadrant cells), and the container bytes.
 //!
 //! Coordinates come from a small domain, so grid lines are shared, points
 //! are duplicated, and lines appear and vanish as the churn goes on.
 
 use skyline_core::container::encode_index;
+use skyline_core::diagram::merge::quadrant_partition;
 use skyline_core::diagram::CellDiagram;
 use skyline_core::geometry::{Dataset, Point, PointId};
 use skyline_core::index::{SkylineIndex, SkylineIndexBuilder};
@@ -84,17 +86,12 @@ fn assert_matches_build(repaired: &SkylineIndex, global: bool, context: &str) {
             built.global_diagram().expect("built global"),
         );
     }
-    let (a, b) = (repaired.polyominoes(), built.polyominoes());
-    assert_eq!(
-        a.cell_to_polyomino(),
-        b.cell_to_polyomino(),
-        "{context}: polyominoes"
-    );
-    assert_eq!(
-        a.polyomino_results(),
-        b.polyomino_results(),
-        "{context}: polyominoes"
-    );
+    // The repaired partition is the one derived from the fresh build's
+    // quadrant cells: polyomino k is the region of result k.
+    let derived = quadrant_partition(built.quadrant_diagram())
+        .expect("every quadrant result labels at least one cell");
+    assert_eq!(repaired.polyominoes(), &derived, "{context}: polyominoes");
+    assert_eq!(built.polyominoes(), &derived, "{context}: polyominoes");
     let handles: Vec<Handle> = (0..repaired.dataset().len() as u64).map(Handle).collect();
     assert!(
         encode_index(repaired, &handles) == encode_index(&built, &handles),

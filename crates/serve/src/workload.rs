@@ -207,11 +207,16 @@ pub(crate) fn digest_query(kind: u64, q: Point, snap: &Snapshot, domain: i64, rn
         _ => {
             let b = point_in_domain(domain, splitmix(rng ^ 0x7ace));
             acc = fnv(acc, (b.x as u64) << 32 | (b.y as u64 & 0xffff_ffff));
+            // Steps hold positional ids: fold their handles, sorted as the
+            // other answers are, so the digest does not depend on the
+            // server's internal point order.
+            let handles = snap.handles();
+            let mut step_handles = Vec::new();
             for step in snap.trace(q, b) {
-                acc = fnv(acc, step.result.len() as u64);
-                for id in &step.result {
-                    acc = fnv(acc, id.index() as u64);
-                }
+                step_handles.clear();
+                step_handles.extend(step.result.iter().map(|id| handles[id.index()]));
+                step_handles.sort_unstable();
+                acc = fnv_handles(acc, &step_handles);
             }
         }
     }
@@ -419,6 +424,38 @@ mod tests {
         assert_eq!(report.updates, 0);
         assert!(report.cache.hits > 0, "repeated results must hit");
         assert!(report.queries_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn checksum_is_independent_of_point_order() {
+        // The same points under the same handles, stored in reverse order:
+        // every answer, trace steps included, must fold identically.
+        let read_only = WorkloadSpec {
+            updates_per_round: 0,
+            mix: QueryMix {
+                trace: 4,
+                ..spec().mix
+            },
+            ..spec()
+        };
+        let (a, handles) = server_with(60, ServerOptions::default());
+        let snap = a.latest();
+        let index = snap.index().expect("a populated server has an index");
+        let reversed = Dataset::new(index.dataset().points().iter().rev().copied().collect())
+            .expect("the same points are valid");
+        let rev_handles: Vec<Handle> = snap.handles().iter().rev().copied().collect();
+        let rebuilt = skyline_core::index::SkylineIndex::new(&reversed);
+        let bytes = skyline_core::container::encode_index(&rebuilt, &rev_handles);
+        let (b, b_handles) = SkylineServer::from_container(&bytes, ServerOptions::default())
+            .expect("a fresh container cold-starts");
+        assert_ne!(
+            b.latest().handles(),
+            snap.handles(),
+            "the point orders differ"
+        );
+        let ra = run(&a, &read_only, &handles);
+        let rb = run(&b, &read_only, &b_handles);
+        assert_eq!(ra.checksum, rb.checksum);
     }
 
     #[test]
