@@ -12,10 +12,10 @@
 //! polyomino `k` as the region of result `k` and derives the partition in one
 //! counting pass and one scatter pass over the cells.
 //!
-//! Component collection is a two-pass counting build: one labelling pass
-//! assigns dense polyomino ids and per-polyomino cell counts, then a scatter
-//! pass places every cell directly into the [`MergedDiagram`] CSR arena — no
-//! per-polyomino `Vec` ever exists.
+//! [`merge`]'s component collection is a two-pass counting build: one
+//! labelling pass assigns dense polyomino ids and per-polyomino cell
+//! counts, then a scatter pass places every cell directly into the
+//! [`MergedDiagram`] CSR arena — no per-polyomino `Vec` ever exists.
 
 use crate::diagram::cell_diagram::CellDiagram;
 use crate::diagram::polyomino::MergedDiagram;
