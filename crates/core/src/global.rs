@@ -17,10 +17,8 @@
 //! interned straight into the output's sorted-id arena (a
 //! `BlockInterner`: looked up by block, stored as ids), which numbers
 //! results by first row-major occurrence with the empty set as id 0, so
-//! no bitset copy of the output is kept; the arena grows to its projected
-//! length band by band rather than doubling, which at n = 400 keeps it
-//! about 2 MB under a doubling's overshoot. A reflected orthant is reduced
-//! to its arena and cell ids as soon as it is built.
+//! no bitset copy of the output is kept. A reflected orthant is reduced to
+//! its arena and cell ids as soon as it is built.
 //!
 //! # Parallel engine
 //!
@@ -227,7 +225,6 @@ fn union_orthants(
             parallel::map_indexed(cfg, len, |k| orthants.union_row(band + k))
         };
         let _intern = crate::span!("global.intern", len as u64);
-        results.reserve_projected(band, height);
         for row in &rows {
             for (block, count) in row.runs() {
                 let id = results.intern(block);

@@ -20,7 +20,7 @@
 //! # Ok::<(), skyline_core::Error>(())
 //! ```
 
-use crate::diagram::merge::{merge, quadrant_partition};
+use crate::diagram::merge::quadrant_partition;
 use crate::diagram::{CellDiagram, MergedDiagram, PolyominoRef};
 use crate::dynamic::{DynamicEngine, SubcellDiagram};
 use crate::geometry::{Dataset, Point, PointId};
@@ -98,6 +98,11 @@ impl SkylineIndexBuilder {
     /// `quadrant` must be a quadrant diagram of `dataset` — callers that
     /// already hold one, such as a `MaintainedIndex` after its rebuild,
     /// reuse it instead of building it twice.
+    ///
+    /// # Panics
+    ///
+    /// If `quadrant` interns a result that labels no cell; no quadrant
+    /// engine builds such a diagram.
     pub fn assemble(
         self,
         dataset: &Dataset,
@@ -173,12 +178,18 @@ impl SkylineIndexBuilder {
 }
 
 /// The polyomino partition of an index's quadrant diagram, numbered by
-/// result ([`quadrant_partition`]). A diagram that breaks
-/// [`SkylineIndexBuilder::assemble`]'s contract (an interned result that
-/// labels no cell) takes the general merge instead of a panic.
+/// result ([`quadrant_partition`]).
+///
+/// # Panics
+///
+/// If an interned result labels no cell. Every quadrant engine and every
+/// repair interns only results that some cell uses, so this is a bug in
+/// the diagram, and failing here keeps it out of a published index (and
+/// out of a container that `decode_index` would refuse).
 fn partition(quadrant: &CellDiagram) -> MergedDiagram {
     let _merge = crate::span!("index.merge");
-    quadrant_partition(quadrant).unwrap_or_else(|| merge(quadrant))
+    quadrant_partition(quadrant)
+        .expect("a quadrant diagram labels a cell with every interned result")
 }
 
 /// Precomputed skyline diagrams over one dataset, answering all three query
@@ -429,5 +440,20 @@ mod tests {
                 assert_eq!(assembled.results().flat_ids(), fresh.results().flat_ids());
             }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "labels a cell with every interned result")]
+    fn assemble_refuses_a_result_no_cell_uses() {
+        use crate::geometry::CellGrid;
+        use crate::result_set::ResultInterner;
+        let ds = Dataset::from_coords([(0, 0), (10, 10)]).unwrap();
+        let mut results = ResultInterner::new();
+        let a = results.intern_sorted(vec![PointId(0)]);
+        let _unused = results.intern_sorted(vec![PointId(1)]);
+        let e = results.empty();
+        let cells = vec![a, a, e, a, a, e, e, e, e];
+        let quadrant = CellDiagram::from_parts(CellGrid::new(&ds), results, cells);
+        SkylineIndex::builder().assemble(&ds, quadrant, &ParallelConfig::sequential());
     }
 }

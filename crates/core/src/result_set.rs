@@ -795,25 +795,6 @@ impl BlockInterner {
         ResultId(k)
     }
 
-    /// Reserves arena room once a fraction `done / total` of the input has
-    /// been interned: when the arena's length projected in proportion
-    /// outgrows its capacity, it grows to a quarter past the projection.
-    /// A doubling can leave the arena at up to twice its final length; this
-    /// stays within about a quarter of it, and the slack keeps a projection
-    /// that creeps up from reallocating every time it is asked.
-    pub(crate) fn reserve_projected(&mut self, done: usize, total: usize) {
-        fn grow<T>(v: &mut Vec<T>, done: usize, total: usize) {
-            let projected = v.len() / done * total;
-            if projected > v.capacity() {
-                v.reserve_exact(projected + projected / 4 - v.len());
-            }
-        }
-        if done > 0 && done < total {
-            grow(&mut self.flat, done, total);
-            grow(&mut self.ends, done, total);
-        }
-    }
-
     /// The arena as a read-only [`ResultInterner`], trimmed to its length.
     pub(crate) fn finish(self) -> ResultInterner {
         let (mut flat, mut ends) = (self.flat, self.ends);
@@ -1127,31 +1108,6 @@ mod tests {
         for id in [0, ia, ib] {
             assert_eq!(csr.get(ResultId(id)), converted.get(ResultId(id)));
         }
-    }
-
-    #[test]
-    fn projected_reservation_grows_once_to_a_quarter_past_the_projection() {
-        let mut csr = BlockInterner::new(1);
-        for k in 0..8u64 {
-            csr.intern(&[0b11 << (2 * k)]);
-        }
-        // 16 ids after a quarter of the input: 64 projected, 80 reserved,
-        // where a doubling past 64 would reach 128.
-        csr.reserve_projected(1, 4);
-        assert_eq!(csr.flat.len(), 16);
-        let cap = csr.flat.capacity();
-        assert!((80..128).contains(&cap), "capacity {cap}");
-        // A projection within the reserve does not reallocate.
-        csr.intern(&[0b111]);
-        csr.reserve_projected(2, 4);
-        assert_eq!(csr.flat.capacity(), cap);
-        // No projection before any input or after all of it.
-        csr.reserve_projected(0, 4);
-        csr.reserve_projected(4, 4);
-        assert_eq!(csr.flat.capacity(), cap);
-        let done = csr.finish();
-        assert_eq!(done.len(), 10);
-        assert_eq!(done.flat_ids().len(), 19);
     }
 
     #[test]
