@@ -1,6 +1,6 @@
 //! E9 (Criterion form): application-layer throughput — moving-query
 //! traversal, authenticated queries, PIR retrieval, reverse-skyline
-//! queries, and diagram (de)serialization.
+//! queries, and the standalone diagram container's encode and decode.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -10,9 +10,9 @@ use skyline_apps::continuous::trace_segment;
 use skyline_apps::pir::{private_skyline_query, PirServer};
 use skyline_apps::reverse::ReverseSkylineIndex;
 use skyline_bench::sweep_dataset;
+use skyline_core::container;
 use skyline_core::geometry::Point;
 use skyline_core::quadrant::QuadrantEngine;
-use skyline_core::serialize;
 use skyline_data::Distribution;
 
 fn bench(c: &mut Criterion) {
@@ -94,12 +94,12 @@ fn bench(c: &mut Criterion) {
         })
     });
 
-    group.bench_function("serialize_encode", |b| {
-        b.iter(|| serialize::encode_cell_diagram(&diagram))
+    group.bench_function("container_encode", |b| {
+        b.iter(|| container::encode_cell_diagram(&ds, &diagram))
     });
-    let bytes = serialize::encode_cell_diagram(&diagram);
-    group.bench_function("serialize_decode", |b| {
-        b.iter(|| serialize::decode_cell_diagram(&bytes).expect("valid"))
+    let bytes = container::encode_cell_diagram(&ds, &diagram);
+    group.bench_function("container_decode", |b| {
+        b.iter(|| container::decode_cell_diagram(&bytes).expect("valid"))
     });
 
     group.finish();

@@ -1534,7 +1534,7 @@ fn e9_applications() {
     use skyline_apps::pir::{private_skyline_query, PirServer};
     use skyline_apps::reverse::ReverseSkylineIndex;
     use skyline_apps::reverse_diagram::ReverseSkylineDiagram;
-    use skyline_core::serialize;
+    use skyline_core::container;
 
     println!("## E9 — applications (independent data)\n");
     let ds = sweep_dataset(200, Distribution::Independent);
@@ -1615,16 +1615,16 @@ fn e9_applications() {
         fmt_ms(t)
     );
 
-    let bytes = serialize::encode_cell_diagram(&diagram);
-    let t = time_ms(3, || serialize::encode_cell_diagram(&diagram));
+    let bytes = container::encode_cell_diagram(&ds, &diagram);
+    let t = time_ms(3, || container::encode_cell_diagram(&ds, &diagram));
     println!(
-        "| diagram serialization | n = 200 -> {:.1} KiB | {} |",
+        "| diagram container encode | n = 200 -> {:.1} KiB | {} |",
         bytes.len() as f64 / 1024.0,
         fmt_ms(t)
     );
-    let t = time_ms(3, || serialize::decode_cell_diagram(&bytes).expect("valid"));
+    let t = time_ms(3, || container::decode_cell_diagram(&bytes).expect("valid"));
     println!(
-        "| diagram deserialization (validated) | same | {} |",
+        "| diagram container decode (validated) | same | {} |",
         fmt_ms(t)
     );
     println!();

@@ -15,7 +15,9 @@
 //! global diagrams, and the polyomino partition checks for the swept
 //! diagram's merge. Each round also churns a few inserts and removals
 //! through the local repair ([`skyline_core::repair`]) and checks every
-//! repaired index against a fresh build, byte for byte.
+//! repaired index against a fresh build, byte for byte, and round-trips
+//! the index and the standalone quadrant, skyband, global and dynamic
+//! diagrams through the snapshot container ([`skyline_core::container`]).
 //!
 //! On a mismatch or invariant violation it prints the offending spec plus
 //! a copy-pasteable one-round repro command, and exits nonzero:
@@ -31,6 +33,8 @@
 
 use std::time::{Duration, Instant};
 
+use skyline_core::container;
+use skyline_core::diagram::CellDiagram;
 use skyline_core::dynamic::DynamicEngine;
 use skyline_core::geometry::Dataset;
 use skyline_core::global;
@@ -212,20 +216,16 @@ fn check_quadrant(spec: &DatasetSpec, ds: &Dataset) {
     if !skyline_core::skyband::build_incremental(ds, 2).same_results(&band_ref) {
         fail("skyband-incremental", spec);
     }
-    // Serialization roundtrip.
-    let bytes = skyline_core::serialize::encode_cell_diagram(&reference);
-    match skyline_core::serialize::decode_cell_diagram(&bytes) {
-        Ok(decoded) if decoded.same_results(&reference) => {}
-        _ => fail("serialize-roundtrip", spec),
-    }
+    check_cell_roundtrip("quadrant", spec, ds, &reference);
+    check_cell_roundtrip("skyband", spec, ds, &band_ref);
     // Snapshot-container roundtrip: save → load must reproduce the quadrant
     // diagram and handle table exactly before the invariant checks below.
     let index = skyline_core::index::SkylineIndex::new(ds);
     let handles: Vec<skyline_core::maintained::Handle> = (0..ds.len() as u64)
         .map(skyline_core::maintained::Handle)
         .collect();
-    let container = skyline_core::container::encode_index(&index, &handles);
-    match skyline_core::container::decode_index(&container) {
+    let bytes = container::encode_index(&index, &handles);
+    match container::decode_index(&bytes) {
         Ok(loaded)
             if loaded.handles == handles
                 && loaded.index.quadrant_diagram().same_results(&reference)
@@ -257,6 +257,16 @@ fn check_quadrant(spec: &DatasetSpec, ds: &Dataset) {
     }
 }
 
+/// A standalone-container round trip must give back the dataset and a
+/// diagram with the same results.
+fn check_cell_roundtrip(what: &str, spec: &DatasetSpec, ds: &Dataset, diagram: &CellDiagram) {
+    match container::decode_cell_diagram(&container::encode_cell_diagram(ds, diagram)) {
+        Ok((dataset, decoded))
+            if dataset.points() == ds.points() && decoded.same_results(diagram) => {}
+        _ => fail(&format!("{what}-container-roundtrip"), spec),
+    }
+}
+
 fn check_global(spec: &DatasetSpec, ds: &Dataset) {
     let reference = global::build(ds, QuadrantEngine::Baseline);
     if let Err(v) =
@@ -264,6 +274,7 @@ fn check_global(spec: &DatasetSpec, ds: &Dataset) {
     {
         fail(&format!("global invariants: {v}"), spec);
     }
+    check_cell_roundtrip("global", spec, ds, &reference);
     if !global::build(ds, QuadrantEngine::Sweeping).same_results(&reference) {
         fail("global-sweeping", spec);
     }
@@ -388,6 +399,11 @@ fn check_dynamic(spec: &DatasetSpec, ds: &Dataset) {
     let merged = skyline_core::diagram::merge::merge_subcells(&reference);
     if let Err(v) = invariants::validate_merged_subcells(&reference, &merged) {
         fail(&format!("dynamic merge invariants: {v}"), spec);
+    }
+    match container::decode_subcell_diagram(&container::encode_subcell_diagram(ds, &reference)) {
+        Ok((dataset, decoded))
+            if dataset.points() == ds.points() && decoded.same_results(&reference) => {}
+        _ => fail("dynamic-container-roundtrip", spec),
     }
 }
 

@@ -3,11 +3,11 @@
 
 use std::io::Write;
 
+use skyline_core::container;
 use skyline_core::diagram::merge::merge;
 use skyline_core::dynamic::DynamicEngine;
 use skyline_core::geometry::{Dataset, Point};
 use skyline_core::quadrant::QuadrantEngine;
-use skyline_core::serialize;
 use skyline_data::{csv, generators, hotel};
 
 use crate::args::{ArgError, Args};
@@ -21,10 +21,11 @@ pub enum CliError {
     Io(std::io::Error),
     /// CSV parse problems.
     Csv(csv::CsvError),
-    /// Diagram decode problems.
-    Decode(serialize::DecodeError),
     /// Snapshot container problems.
-    Container(skyline_core::container::Error),
+    Container(container::Error),
+    /// `query` was given an index container (from `save`), which `load`
+    /// opens; carries the path.
+    IndexContainer(String),
     /// Anything else, with a message.
     Other(String),
 }
@@ -35,8 +36,11 @@ impl std::fmt::Display for CliError {
             CliError::Args(e) => write!(f, "{e}"),
             CliError::Io(e) => write!(f, "io error: {e}"),
             CliError::Csv(e) => write!(f, "csv error: {e}"),
-            CliError::Decode(e) => write!(f, "decode error: {e}"),
             CliError::Container(e) => write!(f, "container error: {e}"),
+            CliError::IndexContainer(path) => write!(
+                f,
+                "{path} is an index container (from `skydiag save`); open it with `skydiag load`"
+            ),
             CliError::Other(msg) => write!(f, "{msg}"),
         }
     }
@@ -60,14 +64,8 @@ impl From<csv::CsvError> for CliError {
     }
 }
 
-impl From<serialize::DecodeError> for CliError {
-    fn from(e: serialize::DecodeError) -> Self {
-        CliError::Decode(e)
-    }
-}
-
-impl From<skyline_core::container::Error> for CliError {
-    fn from(e: skyline_core::container::Error) -> Self {
+impl From<container::Error> for CliError {
+    fn from(e: container::Error) -> Self {
         CliError::Container(e)
     }
 }
@@ -121,6 +119,10 @@ pub fn cmd_gen(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 /// `skydiag build data.csv --engine sweeping --kind quadrant --out d.skyd`
+///
+/// Writes one diagram, with its dataset, as a standalone snapshot
+/// container ([`container::encode_cell_diagram`] or
+/// [`container::encode_subcell_diagram`]).
 pub fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.positional(0, "input csv path (or 'hotel')")?;
     let dataset = load_dataset(input)?;
@@ -129,14 +131,19 @@ pub fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let out_path = args.require("out")?.to_string();
     let k = args.get_usize("k", 2)?;
     args.reject_unknown()?;
+    let k = u32::try_from(k)
+        .ok()
+        .filter(|&k| k >= 1)
+        .ok_or_else(|| ArgError::BadValue("k".into(), k.to_string(), "band order in 1..=2^32-1"))?;
 
+    let cell = |diagram| container::encode_cell_diagram(&dataset, &diagram);
     let bytes = match kind.as_str() {
-        "quadrant" => serialize::encode_cell_diagram(&engine.build(&dataset)),
-        "skyband" => serialize::encode_cell_diagram(&skyline_core::skyband::build_incremental(
-            &dataset, k as u32,
-        )),
-        "global" => serialize::encode_cell_diagram(&skyline_core::global::build(&dataset, engine)),
-        "dynamic" => serialize::encode_subcell_diagram(&DynamicEngine::Scanning.build(&dataset)),
+        "quadrant" => cell(engine.build(&dataset)),
+        "skyband" => cell(skyline_core::skyband::build_incremental(&dataset, k)),
+        "global" => cell(skyline_core::global::build(&dataset, engine)),
+        "dynamic" => {
+            container::encode_subcell_diagram(&dataset, &DynamicEngine::Scanning.build(&dataset))
+        }
         other => {
             return Err(CliError::Other(format!(
                 "unknown kind {other:?}; expected quadrant, global, dynamic or skyband"
@@ -148,31 +155,29 @@ pub fn cmd_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `skydiag query d.skyd --at 10,80 [--kind quadrant]`
+/// `skydiag query d.skyd --at 10,80` — the file's flags say whether it
+/// holds a cell or a subcell diagram.
 pub fn cmd_query(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let path = args.positional(0, "diagram path")?;
     let at = args.require("at")?;
-    let kind = args.get_or("kind", "quadrant").to_string();
     args.reject_unknown()?;
 
     let q = parse_point(at)?;
     let bytes = std::fs::read(path)?;
-    let result: Vec<u32> = match kind.as_str() {
-        "quadrant" | "global" => serialize::decode_cell_diagram(&bytes)?
+    let result: Vec<u32> = match container::kind(&bytes)? {
+        container::Kind::CellDiagram => container::decode_cell_diagram(&bytes)?
+            .1
             .query(q)
             .iter()
             .map(|id| id.0)
             .collect(),
-        "dynamic" => serialize::decode_subcell_diagram(&bytes)?
+        container::Kind::SubcellDiagram => container::decode_subcell_diagram(&bytes)?
+            .1
             .query(q)
             .iter()
             .map(|id| id.0)
             .collect(),
-        other => {
-            return Err(CliError::Other(format!(
-                "unknown kind {other:?}; expected quadrant, global or dynamic"
-            )))
-        }
+        container::Kind::Index => return Err(CliError::IndexContainer(path.to_string())),
     };
     let names: Vec<String> = result.iter().map(|id| format!("p{id}")).collect();
     writeln!(out, "skyline at {q}: {{{}}}", names.join(", "))?;
@@ -861,17 +866,17 @@ pub fn cmd_save(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let handles: Vec<skyline_core::maintained::Handle> = (0..dataset.len() as u64)
         .map(skyline_core::maintained::Handle)
         .collect();
-    let bytes = skyline_core::container::encode_index(&index, &handles);
+    let bytes = container::encode_index(&index, &handles);
     std::fs::write(&out_path, &bytes)?;
     writeln!(
         out,
         "wrote {} to {} (container v{}.{})",
         human_bytes(bytes.len()),
         out_path,
-        skyline_core::container::MAJOR_VERSION,
-        skyline_core::container::MINOR_VERSION,
+        container::MAJOR_VERSION,
+        container::MINOR_VERSION,
     )?;
-    for s in skyline_core::container::sections(&bytes)? {
+    for s in container::sections(&bytes)? {
         writeln!(
             out,
             "  section {:>2}  {:<24} {:>9} bytes @ {}",
@@ -1052,13 +1057,13 @@ fn cmd_mem_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     }
     arena("total", index.heap_bytes())?;
 
-    let bytes = skyline_core::container::encode_index(&index, &[]);
+    let bytes = container::encode_index(&index, &[]);
     writeln!(
         out,
         "container:   {} total (what `skydiag save` would write)",
         human_bytes(bytes.len())
     )?;
-    for sec in skyline_core::container::sections(&bytes)? {
+    for sec in container::sections(&bytes)? {
         writeln!(
             out,
             "  section {:>2}  {:<24} {:>9} bytes",
@@ -1148,7 +1153,7 @@ USAGE:
   skydiag gen    [--dist corr|inde|anti] [--n N] [--domain S] [--seed K] [--out data.csv]
   skydiag build  <data.csv|hotel> --out d.skyd [--engine baseline|dsg|scanning|sweeping]
                  [--kind quadrant|global|dynamic|skyband] [--k K]
-  skydiag query  <d.skyd> --at X,Y [--kind quadrant|global|dynamic]
+  skydiag query  <d.skyd> --at X,Y
   skydiag stats  <data.csv|hotel> [--engine ...]
   skydiag render <data.csv|hotel> --out d.svg [--engine ...]
   skydiag ascii  <data.csv|hotel> [--engine ...]
@@ -1323,8 +1328,48 @@ mod tests {
         .unwrap();
         // (19, 50) lies strictly inside a subcell; its dynamic skyline in
         // the reconstruction is {p6, p10} (0-based: p5, p9).
-        let answer = run(cmd_query, &[path_str, "--at", "19,50", "--kind", "dynamic"]).unwrap();
+        // The file's flags mark it a subcell diagram; query needs no kind.
+        let answer = run(cmd_query, &[path_str, "--at", "19,50"]).unwrap();
         assert!(answer.contains("{p5, p9}"), "{answer}");
+    }
+
+    /// `build --kind skyband --k <k>` fails with an argument error on
+    /// `--k` and writes nothing.
+    fn assert_band_order_refused(k: &str) {
+        let path = std::env::temp_dir().join(format!("skydiag-test-band-{k}.skyd"));
+        let path_str = path.to_str().unwrap();
+        let err = run(
+            cmd_build,
+            &["hotel", "--out", path_str, "--kind", "skyband", "--k", k],
+        );
+        assert!(
+            matches!(&err, Err(CliError::Args(ArgError::BadValue(flag, _, _))) if flag == "k"),
+            "--k {k}: {err:?}"
+        );
+        assert!(!path.exists(), "nothing is written for --k {k}");
+    }
+
+    #[test]
+    fn build_rejects_a_zero_band_order() {
+        assert_band_order_refused("0");
+    }
+
+    #[test]
+    fn build_rejects_a_band_order_past_u32() {
+        // 2^32 + 1 would truncate to the 1-band under `as u32`.
+        assert_band_order_refused("4294967297");
+    }
+
+    #[test]
+    fn query_refuses_an_index_container() {
+        let dir = std::env::temp_dir().join("skydiag-test-query-index");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hotel.skd");
+        let path_str = path.to_str().unwrap();
+        run(cmd_save, &[path_str, "--data", "hotel"]).unwrap();
+        let err = run(cmd_query, &[path_str, "--at", "12,81"]).unwrap_err();
+        assert!(matches!(err, CliError::IndexContainer(_)), "{err}");
+        assert!(err.to_string().contains("skydiag load"), "{err}");
     }
 
     #[test]

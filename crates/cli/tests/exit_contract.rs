@@ -1,0 +1,90 @@
+//! The `skydiag` exit contract, checked on the real binary: a failing
+//! command exits non-zero, prints nothing on stdout, and reports one
+//! `skydiag: ...` line on stderr — a typed error, never a panic.
+
+use std::path::PathBuf;
+use std::process::{Command, Output};
+
+fn skydiag(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_skydiag"))
+        .args(args)
+        .output()
+        .expect("the skydiag binary starts")
+}
+
+/// A fresh scratch directory for one test.
+fn scratch(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("skydiag-exit-{}-{test}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir is writable");
+    dir
+}
+
+fn path_str(path: &std::path::Path) -> &str {
+    path.to_str().expect("temp paths are UTF-8")
+}
+
+/// Asserts the failure half of the contract and returns stderr.
+fn assert_clean_failure(out: &Output, what: &str) -> String {
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!out.status.success(), "{what}: exited 0; stderr: {stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "{what}: wrote to stdout: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(stderr.starts_with("skydiag: "), "{what}: stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+    stderr
+}
+
+#[test]
+fn query_on_a_missing_file_fails_cleanly() {
+    let missing = scratch("missing").join("absent.skyd");
+    let out = skydiag(&["query", path_str(&missing), "--at", "12,81"]);
+    let stderr = assert_clean_failure(&out, "missing file");
+    assert!(stderr.contains("io error"), "{stderr}");
+}
+
+#[test]
+fn query_on_a_bit_flipped_file_fails_cleanly() {
+    let path = scratch("flipped").join("hotel.skyd");
+    let built = skydiag(&["build", "hotel", "--out", path_str(&path)]);
+    assert!(built.status.success(), "{built:?}");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let out = skydiag(&["query", path_str(&path), "--at", "12,81"]);
+    let stderr = assert_clean_failure(&out, "bit-flipped file");
+    assert!(stderr.contains("container error"), "{stderr}");
+}
+
+#[test]
+fn query_on_a_saved_index_points_to_load() {
+    let path = scratch("index").join("hotel.skd");
+    let saved = skydiag(&["save", path_str(&path), "--data", "hotel"]);
+    assert!(saved.status.success(), "{saved:?}");
+
+    let out = skydiag(&["query", path_str(&path), "--at", "12,81"]);
+    let stderr = assert_clean_failure(&out, "index container");
+    assert!(stderr.contains("skydiag load"), "{stderr}");
+}
+
+#[test]
+fn build_with_a_zero_band_order_fails_cleanly() {
+    let path = scratch("zero-k").join("band.skyd");
+    let out = skydiag(&[
+        "build",
+        "hotel",
+        "--out",
+        path_str(&path),
+        "--kind",
+        "skyband",
+        "--k",
+        "0",
+    ]);
+    let stderr = assert_clean_failure(&out, "--k 0");
+    assert!(stderr.contains("--k"), "{stderr}");
+    assert!(!path.exists(), "nothing is written");
+}

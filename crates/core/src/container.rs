@@ -1,15 +1,16 @@
-//! Versioned binary snapshot container: the on-disk form of a
-//! [`SkylineIndex`] (ROADMAP item 1, in the spirit of the versatiles tile
-//! containers).
+//! Versioned binary snapshot container: the one on-disk form of this
+//! crate's diagrams. A container holds either a [`SkylineIndex`] (with an
+//! optional serve handle table) or one *standalone* diagram — a quadrant,
+//! global or skyband [`CellDiagram`], or a dynamic [`SubcellDiagram`] —
+//! together with the dataset it was built over. The standalone form is
+//! what a data owner builds once and ships to outsourcing servers.
 //!
-//! `serialize.rs` round-trips single diagrams through a parse-heavy
-//! encoding; a server restart therefore pays a full `O(n²)` rebuild. This
-//! module instead persists the PR 8 arena layouts *verbatim* — the CSR
-//! flat-ids/ends interner arrays, the row-major cell→result arrays, and the
-//! grid/bisector line metadata — so a load is a bounds-checked,
-//! checksum-validated copy of flat `u64`/`u32` arrays straight into
-//! [`ResultInterner`] (via [`ResultInterner::from_csr`]) with no
-//! per-element re-interning. The polyomino partition is not stored: the
+//! The payloads are the arena layouts verbatim — the CSR flat-ids/ends
+//! interner arrays, the row-major cell→result arrays, and the bisector
+//! line metadata — so a load is a bounds-checked, checksum-validated copy
+//! of flat `u64`/`u32` arrays straight into [`ResultInterner`] (via
+//! [`ResultInterner::from_csr`]) with no per-element re-interning. The
+//! polyomino partition is not stored: the
 //! quadrant diagram's regions are one polyomino per result, so the decode
 //! derives it from the quadrant cells in two linear passes
 //! ([`quadrant_partition`]). The bitset word blocks of
@@ -30,7 +31,8 @@
 //!        4   major version       u16                          2 bytes
 //!        6   minor version       u16                          2 bytes
 //!        8   flags               u32 (bit0 global, bit1       4 bytes
-//!                                     dynamic, bit2 handles)
+//!                                     dynamic, bit2 handles,
+//!                                     bit3 standalone)
 //!       12   section count  c    u32                          4 bytes
 //!       16   directory           c × 32-byte entries:
 //!                                  id       u32
@@ -44,21 +46,37 @@
 //! 24 + 32c   payloads            contiguous, in directory order
 //! ```
 //!
-//! Sections, in required id order (5–11 present per the flags; id 4, the
-//! major-1 polyomino section, is retired and never reused):
+//! Sections, in required id order (id 4, the major-1 polyomino section,
+//! is retired and never reused):
 //!
-//! | id | content |
-//! |----|---------|
-//! | 1  | dataset: `u64 n`, then `n × (i64 x, i64 y)` |
-//! | 2  | quadrant interner: `u64 sets`, `u64 total_ids`, `sets × u32` ends, `total_ids × u32` flat ids |
-//! | 3  | quadrant cells: `u64 count`, `count × u32` result ids (row-major) |
-//! | 5  | global interner (layout of 2) |
-//! | 6  | global cells (layout of 3) |
-//! | 7  | dynamic x bisector lines: `u64 count`, `count × i64` doubled coords |
-//! | 8  | dynamic y bisector lines (layout of 7) |
-//! | 9  | dynamic interner (layout of 2) |
-//! | 10 | dynamic cells (layout of 3, over subcells) |
-//! | 11 | handles: `u64 count`, `count × u64` |
+//! | id | present | content |
+//! |----|---------|---------|
+//! | 1  | always | dataset: `u64 n`, then `n × (i64 x, i64 y)` |
+//! | 2  | index | quadrant interner: `u64 sets`, `u64 total_ids`, `sets × u32` ends, `total_ids × u32` flat ids |
+//! | 3  | index | quadrant cells: `u64 count`, `count × u32` result ids (row-major) |
+//! | 5  | index, bit 0 | global interner (layout of 2) |
+//! | 6  | index, bit 0 | global cells (layout of 3) |
+//! | 7  | bit 1 | dynamic x bisector lines: `u64 count`, `count × i64` doubled coords |
+//! | 8  | bit 1 | dynamic y bisector lines (layout of 7) |
+//! | 9  | bit 1 | dynamic interner (layout of 2) |
+//! | 10 | bit 1 | dynamic cells (layout of 3, over subcells) |
+//! | 11 | index, bit 2 | handles: `u64 count`, `count × u64` |
+//! | 12 | standalone, not bit 1 | diagram interner (layout of 2) |
+//! | 13 | standalone, not bit 1 | diagram cells (layout of 3) |
+//!
+//! # Index and standalone containers
+//!
+//! Flag bit 3 splits the files in two groups. Without it the file is an
+//! index: sections 1–3, plus the groups bits 0–2 select. With it the file
+//! is one diagram over the dataset in section 1: a cell diagram is
+//! sections 12–13 ([`encode_cell_diagram`]), a subcell diagram sets bit 1
+//! too and is the dynamic group 7–10 ([`encode_subcell_diagram`]). A
+//! standalone file sets neither bit 0 nor bit 2. Every decoder checks the
+//! section list against the flags, then that the file holds the kind it
+//! decodes: [`decode_index`], [`decode_cell_diagram`] and
+//! [`decode_subcell_diagram`] each refuse the other two kinds with
+//! [`Error::Invalid`], and [`kind`] reports which of the three a file
+//! holds.
 //!
 //! The cell grid is *not* stored: [`CellGrid::new`] rebuilds it from the
 //! decoded dataset in `O(n log n)`, which also cross-validates the stored
@@ -66,7 +84,7 @@
 //!
 //! # Validation order
 //!
-//! [`decode_index`] validates strictly outside-in; every failure is a typed
+//! Every decoder validates strictly outside-in; every failure is a typed
 //! [`Error`], never a panic or an out-of-bounds access:
 //!
 //! 1. length ≥ header, magic ([`Error::BadMagic`]), major version
@@ -83,8 +101,8 @@
 //!    overflow-checked, total length exact ([`Error::Truncated`] /
 //!    [`Error::TrailingBytes`]);
 //! 4. per-section payload checksums ([`Error::SectionChecksumMismatch`]);
-//! 5. flags known and the section id list exactly the one the flags
-//!    promise;
+//! 5. flags known, the section id list exactly the one the flags
+//!    promise, and the file of the kind the decoder reads;
 //! 6. semantic validation while copying out: dataset bounds
 //!    ([`crate::geometry::MAX_COORD`]), interner CSR laws
 //!    ([`ResultInterner::from_csr`]), result ids within the interner, cell
@@ -171,7 +189,8 @@ const DIR_ENTRY_LEN: usize = 32;
 const FLAG_GLOBAL: u32 = 1;
 const FLAG_DYNAMIC: u32 = 1 << 1;
 const FLAG_HANDLES: u32 = 1 << 2;
-const KNOWN_FLAGS: u32 = FLAG_GLOBAL | FLAG_DYNAMIC | FLAG_HANDLES;
+const FLAG_STANDALONE: u32 = 1 << 3;
+const KNOWN_FLAGS: u32 = FLAG_GLOBAL | FLAG_DYNAMIC | FLAG_HANDLES | FLAG_STANDALONE;
 
 const SEC_DATASET: u32 = 1;
 const SEC_QUAD_RESULTS: u32 = 2;
@@ -185,6 +204,20 @@ const SEC_DYN_YLINES: u32 = 8;
 const SEC_DYN_RESULTS: u32 = 9;
 const SEC_DYN_CELLS: u32 = 10;
 const SEC_HANDLES: u32 = 11;
+const SEC_DIAGRAM_RESULTS: u32 = 12;
+const SEC_DIAGRAM_CELLS: u32 = 13;
+
+/// The section groups the flags select, in directory order.
+const INDEX_SECTIONS: &[u32] = &[SEC_DATASET, SEC_QUAD_RESULTS, SEC_QUAD_CELLS];
+const GLOBAL_SECTIONS: &[u32] = &[SEC_GLOBAL_RESULTS, SEC_GLOBAL_CELLS];
+const DYNAMIC_SECTIONS: &[u32] = &[
+    SEC_DYN_XLINES,
+    SEC_DYN_YLINES,
+    SEC_DYN_RESULTS,
+    SEC_DYN_CELLS,
+];
+const HANDLES_SECTIONS: &[u32] = &[SEC_HANDLES];
+const DIAGRAM_SECTIONS: &[u32] = &[SEC_DIAGRAM_RESULTS, SEC_DIAGRAM_CELLS];
 
 /// Typed decoding failures. Corrupt or adversarial input maps to exactly
 /// one of these; the decoder never panics and never reads out of bounds.
@@ -224,6 +257,17 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
+/// What a container holds, as its flags declare (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A [`SkylineIndex`], written by [`encode_index`].
+    Index,
+    /// A standalone cell diagram, written by [`encode_cell_diagram`].
+    CellDiagram,
+    /// A standalone subcell diagram, written by [`encode_subcell_diagram`].
+    SubcellDiagram,
+}
+
 /// A decoded container: the index plus the serve-layer handle table (empty
 /// when the container was written without one).
 #[derive(Debug, Clone)]
@@ -259,6 +303,8 @@ fn section_name(id: u32) -> &'static str {
         SEC_DYN_RESULTS => "dynamic-results",
         SEC_DYN_CELLS => "dynamic-cells",
         SEC_HANDLES => "handles",
+        SEC_DIAGRAM_RESULTS => "diagram-results",
+        SEC_DIAGRAM_CELLS => "diagram-cells",
         _ => "unknown",
     }
 }
@@ -406,6 +452,50 @@ pub fn encode_index(index: &SkylineIndex, handles: &[Handle]) -> Vec<u8> {
         "a non-empty handle table pairs one handle per point"
     );
     let (flags, sections) = sections_of(index, handles);
+    let out = write_container(flags, &sections);
+    crate::counter!("mem.container.bytes").add(out.len() as u64);
+    out
+}
+
+/// Serializes a standalone cell diagram — quadrant, global or skyband —
+/// with the dataset it was built over. The decode rebuilds the grid from
+/// that dataset, so `diagram` must be built on `CellGrid::new(dataset)`,
+/// as every engine's diagram is.
+pub fn encode_cell_diagram(dataset: &Dataset, diagram: &CellDiagram) -> Vec<u8> {
+    debug_assert!(
+        {
+            let grid = CellGrid::new(dataset);
+            grid.x_lines() == diagram.grid().x_lines() && grid.y_lines() == diagram.grid().y_lines()
+        },
+        "a standalone diagram is built over its dataset"
+    );
+    write_container(
+        FLAG_STANDALONE,
+        &[
+            (SEC_DATASET, Section::Dataset(dataset)),
+            (SEC_DIAGRAM_RESULTS, Section::Interner(diagram.results())),
+            (SEC_DIAGRAM_CELLS, Section::Cells(diagram.cell_results())),
+        ],
+    )
+}
+
+/// Serializes a standalone dynamic (subcell) diagram with the dataset it
+/// was built over.
+pub fn encode_subcell_diagram(dataset: &Dataset, diagram: &SubcellDiagram) -> Vec<u8> {
+    write_container(
+        FLAG_STANDALONE | FLAG_DYNAMIC,
+        &[
+            (SEC_DATASET, Section::Dataset(dataset)),
+            (SEC_DYN_XLINES, Section::Lines(diagram.grid().x_lines())),
+            (SEC_DYN_YLINES, Section::Lines(diagram.grid().y_lines())),
+            (SEC_DYN_RESULTS, Section::Interner(diagram.results())),
+            (SEC_DYN_CELLS, Section::Cells(diagram.cell_results())),
+        ],
+    )
+}
+
+/// Writes a container of `sections` (in directory order) under `flags`.
+fn write_container(flags: u32, sections: &[(u32, Section<'_>)]) -> Vec<u8> {
     let payload_total: usize = sections.iter().map(|(_, s)| s.len()).sum();
     let dir_end = HEADER_LEN + DIR_ENTRY_LEN * sections.len();
     let mut out = Vec::with_capacity(dir_end + 8 + payload_total);
@@ -425,7 +515,6 @@ pub fn encode_index(index: &SkylineIndex, handles: &[Handle]) -> Vec<u8> {
     }
     let header_sum = fnv64(&out[..dir_end]);
     out[dir_end..dir_end + 8].copy_from_slice(&header_sum.to_le_bytes());
-    crate::counter!("mem.container.bytes").add(out.len() as u64);
     out
 }
 
@@ -820,38 +909,10 @@ fn decode_payloads(
     dir: &[DirEntry],
     cfg: &ParallelConfig,
 ) -> Result<LoadedSnapshot, Error> {
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(Error::Invalid("unknown flag bits set"));
-    }
-    let mut expected = vec![SEC_DATASET, SEC_QUAD_RESULTS, SEC_QUAD_CELLS];
-    if flags & FLAG_GLOBAL != 0 {
-        expected.extend([SEC_GLOBAL_RESULTS, SEC_GLOBAL_CELLS]);
-    }
-    if flags & FLAG_DYNAMIC != 0 {
-        expected.extend([
-            SEC_DYN_XLINES,
-            SEC_DYN_YLINES,
-            SEC_DYN_RESULTS,
-            SEC_DYN_CELLS,
-        ]);
-    }
-    if flags & FLAG_HANDLES != 0 {
-        expected.push(SEC_HANDLES);
-    }
-    let actual: Vec<u32> = dir.iter().map(|e| e.id).collect();
-    if actual != expected {
-        return Err(Error::Invalid(
-            "section list does not match the header flags",
-        ));
-    }
-    let payload = |id: u32| -> &[u8] {
-        dir.iter()
-            .find(|e| e.id == id)
-            .map(|e| &bytes[e.offset as usize..(e.offset + e.length) as usize])
-            .expect("section presence was validated against the flags")
-    };
+    expect_kind(check_flags(flags, dir)?, Kind::Index)?;
+    let section = |id: u32| payload(bytes, dir, id);
 
-    let dataset = decode_dataset(payload(SEC_DATASET))?;
+    let dataset = decode_dataset(section(SEC_DATASET))?;
     let n = dataset.len();
     let grid = CellGrid::new(&dataset);
 
@@ -865,8 +926,8 @@ fn decode_payloads(
     let (quadrant, global) = parallel::join(
         &split,
         || -> Result<_, Error> {
-            let results = decode_interner(payload(SEC_QUAD_RESULTS), n)?;
-            let cells = decode_cells(payload(SEC_QUAD_CELLS), grid.cell_count(), results.len())?;
+            let results = decode_interner(section(SEC_QUAD_RESULTS), n)?;
+            let cells = decode_cells(section(SEC_QUAD_CELLS), grid.cell_count(), results.len())?;
             let quadrant = CellDiagram::from_parts(grid.clone(), results, cells);
             let merged = quadrant_partition(&quadrant).ok_or(Error::Invalid(
                 "quadrant interner holds a result that no cell uses",
@@ -877,8 +938,8 @@ fn decode_payloads(
             if flags & FLAG_GLOBAL == 0 {
                 return Ok(None);
             }
-            let results = decode_interner(payload(SEC_GLOBAL_RESULTS), n)?;
-            let cells = decode_cells(payload(SEC_GLOBAL_CELLS), grid.cell_count(), results.len())?;
+            let results = decode_interner(section(SEC_GLOBAL_RESULTS), n)?;
+            let cells = decode_cells(section(SEC_GLOBAL_CELLS), grid.cell_count(), results.len())?;
             Ok(Some((results, cells)))
         },
     );
@@ -886,26 +947,134 @@ fn decode_payloads(
     let global = global?.map(|(results, cells)| CellDiagram::from_parts(grid, results, cells));
 
     let dynamic = if flags & FLAG_DYNAMIC != 0 {
-        let xlines = decode_lines(payload(SEC_DYN_XLINES))?;
-        let ylines = decode_lines(payload(SEC_DYN_YLINES))?;
-        let results = decode_interner(payload(SEC_DYN_RESULTS), n)?;
-        let subcells = (xlines.len() + 1)
-            .checked_mul(ylines.len() + 1)
-            .ok_or(Error::Invalid("subcell count overflows the address space"))?;
-        let cells = decode_cells(payload(SEC_DYN_CELLS), subcells, results.len())?;
-        Some(SubcellDiagram::from_lines(xlines, ylines, results, cells))
+        Some(decode_dynamic(section, n)?)
     } else {
         None
     };
 
     let handles = if flags & FLAG_HANDLES != 0 {
-        decode_handles(payload(SEC_HANDLES), n)?
+        decode_handles(section(SEC_HANDLES), n)?
     } else {
         Vec::new()
     };
 
     let index = SkylineIndex::from_loaded_parts(dataset, quadrant, merged, global, dynamic);
     Ok(LoadedSnapshot { index, handles })
+}
+
+/// The dynamic group (sections 7–10) over a dataset of `n` points.
+fn decode_dynamic<'a>(
+    section: impl Fn(u32) -> &'a [u8],
+    n: usize,
+) -> Result<SubcellDiagram, Error> {
+    let xlines = decode_lines(section(SEC_DYN_XLINES))?;
+    let ylines = decode_lines(section(SEC_DYN_YLINES))?;
+    let results = decode_interner(section(SEC_DYN_RESULTS), n)?;
+    let subcells = (xlines.len() + 1)
+        .checked_mul(ylines.len() + 1)
+        .ok_or(Error::Invalid("subcell count overflows the address space"))?;
+    let cells = decode_cells(section(SEC_DYN_CELLS), subcells, results.len())?;
+    Ok(SubcellDiagram::from_lines(xlines, ylines, results, cells))
+}
+
+/// Decodes a standalone cell diagram written by [`encode_cell_diagram`],
+/// with the dataset it was built over. The grid is rebuilt from the
+/// dataset and cross-validates the stored cells, as for an index.
+pub fn decode_cell_diagram(bytes: &[u8]) -> Result<(Dataset, CellDiagram), Error> {
+    let (dataset, section) = open_standalone(bytes, Kind::CellDiagram)?;
+    let grid = CellGrid::new(&dataset);
+    let results = decode_interner(section(SEC_DIAGRAM_RESULTS), dataset.len())?;
+    let cells = decode_cells(section(SEC_DIAGRAM_CELLS), grid.cell_count(), results.len())?;
+    Ok((dataset, CellDiagram::from_parts(grid, results, cells)))
+}
+
+/// Decodes a standalone subcell diagram written by
+/// [`encode_subcell_diagram`], with the dataset it was built over.
+pub fn decode_subcell_diagram(bytes: &[u8]) -> Result<(Dataset, SubcellDiagram), Error> {
+    let (dataset, section) = open_standalone(bytes, Kind::SubcellDiagram)?;
+    let diagram = decode_dynamic(&section, dataset.len())?;
+    Ok((dataset, diagram))
+}
+
+/// Steps 1–5 of the decode order for a standalone container of kind
+/// `want`; returns its dataset and a lookup of its section payloads.
+fn open_standalone<'a>(
+    bytes: &'a [u8],
+    want: Kind,
+) -> Result<(Dataset, impl Fn(u32) -> &'a [u8]), Error> {
+    let (flags, dir) = validate_envelope(bytes)?;
+    expect_kind(check_flags(flags, &dir)?, want)?;
+    let dataset = decode_dataset(payload(bytes, &dir, SEC_DATASET))?;
+    Ok((dataset, move |id| payload(bytes, &dir, id)))
+}
+
+/// What a container holds. Validates the header, its checksum, the
+/// directory and the section list against the flags — not the payloads,
+/// which the matching decoder checks.
+pub fn kind(bytes: &[u8]) -> Result<Kind, Error> {
+    let (flags, dir) = validate_directory(bytes)?;
+    check_flags(flags, &dir)
+}
+
+/// Step 5's first half: the flags known and the section list exactly the
+/// one they promise. Returns what the container holds.
+fn check_flags(flags: u32, dir: &[DirEntry]) -> Result<Kind, Error> {
+    if flags & !KNOWN_FLAGS != 0 {
+        return Err(Error::Invalid("unknown flag bits set"));
+    }
+    let with = |flag: u32, group: &'static [u32]| if flags & flag != 0 { group } else { &[] };
+    let (kind, groups): (Kind, [&[u32]; 4]) = if flags & FLAG_STANDALONE == 0 {
+        let groups = [
+            INDEX_SECTIONS,
+            with(FLAG_GLOBAL, GLOBAL_SECTIONS),
+            with(FLAG_DYNAMIC, DYNAMIC_SECTIONS),
+            with(FLAG_HANDLES, HANDLES_SECTIONS),
+        ];
+        (Kind::Index, groups)
+    } else if flags & (FLAG_GLOBAL | FLAG_HANDLES) != 0 {
+        // No section list carries a standalone diagram with either group.
+        return Err(Error::Invalid(
+            "section list does not match the header flags",
+        ));
+    } else if flags & FLAG_DYNAMIC != 0 {
+        (
+            Kind::SubcellDiagram,
+            [&[SEC_DATASET], DYNAMIC_SECTIONS, &[], &[]],
+        )
+    } else {
+        (
+            Kind::CellDiagram,
+            [&[SEC_DATASET], DIAGRAM_SECTIONS, &[], &[]],
+        )
+    };
+    let expected: Vec<u32> = groups.into_iter().flatten().copied().collect();
+    let actual: Vec<u32> = dir.iter().map(|e| e.id).collect();
+    if actual != expected {
+        return Err(Error::Invalid(
+            "section list does not match the header flags",
+        ));
+    }
+    Ok(kind)
+}
+
+/// Step 5's second half: the container holds the kind the decoder reads.
+fn expect_kind(found: Kind, want: Kind) -> Result<(), Error> {
+    if found == want {
+        return Ok(());
+    }
+    Err(Error::Invalid(match found {
+        Kind::Index => "the container holds an index, not a standalone diagram",
+        Kind::CellDiagram => "the container holds a standalone cell diagram",
+        Kind::SubcellDiagram => "the container holds a standalone subcell diagram",
+    }))
+}
+
+/// The payload of section `id`, whose presence the flags check vouched for.
+fn payload<'a>(bytes: &'a [u8], dir: &[DirEntry], id: u32) -> &'a [u8] {
+    dir.iter()
+        .find(|e| e.id == id)
+        .map(|e| &bytes[e.offset as usize..(e.offset + e.length) as usize])
+        .expect("section presence was validated against the flags")
 }
 
 #[cfg(test)]

@@ -76,7 +76,6 @@ pub mod quadrant;
 pub mod query;
 pub mod repair;
 pub mod result_set;
-pub mod serialize;
 pub mod skyband;
 pub mod skyline;
 pub mod sync;

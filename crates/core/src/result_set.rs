@@ -26,7 +26,7 @@
 //!   id-for-id, via [`BitsetInterner::to_result_interner`]; the global
 //!   union interns its blocks through `BlockInterner`, which keeps them
 //!   only in sorted-id form. Either way callers and the
-//!   serialize/snapshot layers see the sorted-id representation unchanged.
+//!   container/snapshot layers see the sorted-id representation unchanged.
 //!
 //! [`BitRuns`] is the one run-collapsed per-worker buffer, replayed into a
 //! [`BitsetInterner`] by the deterministic single-threaded stitch; the
@@ -717,7 +717,7 @@ impl BitsetInterner {
     /// bitset id `k` becomes [`ResultId`]`(k)`. Builders accumulate their
     /// per-cell ids against this interner and hand the converted interner
     /// plus the unmodified cell vector to the diagram, so the query,
-    /// serialize, and snapshot layers keep seeing sorted-id slices.
+    /// container, and snapshot layers keep seeing sorted-id slices.
     ///
     /// The blocks are distinct by construction, so they decode straight
     /// into the CSR arrays (sized exactly) with no lookup table: the result

@@ -1,32 +1,80 @@
 //! Corruption suite for the snapshot container (`skyline_core::container`),
-//! extending the PR 4 `serialize.rs` proptest battery to the sectioned
-//! format: **every** single-bit flip, truncation at every section boundary,
-//! trailing junk, section-directory offset/length tampering (with the
-//! checksums *recomputed*, so only structural validation can catch it), and
-//! plain checksum mismatches must all be rejected with a typed
-//! [`Error`] — never a panic, never an out-of-bounds access.
+//! over all three kinds of file it holds — an index, a standalone cell
+//! diagram and a standalone subcell diagram: **every** single-bit flip,
+//! truncation at every section boundary, trailing junk, section-directory
+//! offset/length and flag tampering (with the checksums *recomputed*, so
+//! only structural validation can catch it), kind confusion, and plain
+//! checksum mismatches must all be rejected with a typed [`Error`] — never
+//! a panic, never an out-of-bounds access.
 
 use proptest::prelude::*;
 
-use skyline_core::container::{decode_index, encode_index, sections, Error};
+use skyline_core::container::{
+    decode_cell_diagram, decode_index, decode_subcell_diagram, encode_cell_diagram, encode_index,
+    encode_subcell_diagram, kind, sections, Error, Kind,
+};
+use skyline_core::dynamic::DynamicEngine;
 use skyline_core::geometry::Dataset;
+use skyline_core::global;
 use skyline_core::index::SkylineIndex;
 use skyline_core::maintained::Handle;
+use skyline_core::quadrant::QuadrantEngine;
 
 const HEADER_LEN: usize = 16;
 const DIR_ENTRY_LEN: usize = 32;
 
+fn mixed_dataset() -> Dataset {
+    Dataset::from_coords([(1, 9), (4, 4), (9, 1), (6, 7), (2, 2)])
+        .expect("coordinates are tiny and valid")
+}
+
 /// A canonical full container: all ten sections present (dataset,
 /// quadrant, global, dynamic, handles) over a small mixed dataset.
 fn canonical_bytes() -> Vec<u8> {
-    let ds = Dataset::from_coords([(1, 9), (4, 4), (9, 1), (6, 7), (2, 2)])
-        .expect("coordinates are tiny and valid");
+    let ds = mixed_dataset();
     let index = SkylineIndex::builder()
         .with_global(true)
         .with_dynamic(true)
         .build(&ds);
     let handles: Vec<Handle> = (0..ds.len() as u64).map(Handle).collect();
     encode_index(&index, &handles)
+}
+
+/// A standalone cell container (dataset, diagram results, diagram cells):
+/// the global diagram of the same dataset.
+fn cell_bytes() -> Vec<u8> {
+    let ds = mixed_dataset();
+    encode_cell_diagram(&ds, &global::build(&ds, QuadrantEngine::Sweeping))
+}
+
+/// A standalone subcell container: the dataset plus the dynamic group.
+fn subcell_bytes() -> Vec<u8> {
+    let ds = mixed_dataset();
+    encode_subcell_diagram(&ds, &DynamicEngine::Scanning.build(&ds))
+}
+
+type Decode = fn(&[u8]) -> Result<(), Error>;
+
+fn index_decode(bytes: &[u8]) -> Result<(), Error> {
+    decode_index(bytes).map(|_| ())
+}
+
+fn cell_decode(bytes: &[u8]) -> Result<(), Error> {
+    decode_cell_diagram(bytes).map(|_| ())
+}
+
+fn subcell_decode(bytes: &[u8]) -> Result<(), Error> {
+    decode_subcell_diagram(bytes).map(|_| ())
+}
+
+/// Every kind of container: its name, canonical bytes, section count and
+/// decoder.
+fn kinds() -> [(&'static str, Vec<u8>, usize, Decode); 3] {
+    [
+        ("index", canonical_bytes(), 10, index_decode),
+        ("cell diagram", cell_bytes(), 3, cell_decode),
+        ("subcell diagram", subcell_bytes(), 5, subcell_decode),
+    ]
 }
 
 /// The container's word-wise FNV-1a 64 (8-byte little-endian words,
@@ -80,43 +128,50 @@ fn fix_section_checksum(bytes: &mut [u8], k: usize) {
 
 #[test]
 fn every_single_bit_flip_is_rejected() {
-    let bytes = canonical_bytes();
-    let mut rejected = 0usize;
-    for i in 0..bytes.len() {
+    for (kind, bytes, _, decode) in kinds() {
+        assert!(decode(&bytes).is_ok(), "the canonical {kind} decodes");
+        let mut rejected = 0usize;
         let mut bad = bytes.clone();
-        for bit in 0..8 {
-            bad[i] ^= 1 << bit;
-            assert!(
-                decode_index(&bad).is_err(),
-                "flip of byte {i} bit {bit} was accepted"
-            );
-            rejected += 1;
-            bad[i] ^= 1 << bit;
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                bad[i] ^= 1 << bit;
+                assert!(
+                    decode(&bad).is_err(),
+                    "{kind}: flip of byte {i} bit {bit} was accepted"
+                );
+                rejected += 1;
+                bad[i] ^= 1 << bit;
+            }
         }
+        // 100% of injected mutations rejected (the acceptance criterion).
+        assert_eq!(rejected, bytes.len() * 8, "{kind}");
     }
-    // 100% of injected mutations rejected (the acceptance criterion).
-    assert_eq!(rejected, bytes.len() * 8);
 }
 
 #[test]
 fn truncation_at_every_section_boundary_is_rejected() {
-    let bytes = canonical_bytes();
-    let dir = sections(&bytes).unwrap();
-    assert_eq!(dir.len(), 10, "the canonical fixture has all sections");
-    let payload_start = dir[0].offset as usize;
-    let mut cuts = vec![0, 4, 8, 12, HEADER_LEN, payload_start - 8, payload_start];
-    cuts.extend(dir.iter().map(|s| (s.offset + s.length) as usize));
-    let full = cuts.pop().unwrap();
-    assert_eq!(full, bytes.len(), "the last boundary is the full file");
-    for cut in cuts {
-        let got = decode_index(&bytes[..cut]);
-        assert!(
-            matches!(
-                got,
-                Err(Error::Truncated) | Err(Error::HeaderChecksumMismatch)
-            ),
-            "truncation at {cut} gave {got:?}"
+    for (kind, bytes, count, decode) in kinds() {
+        let dir = sections(&bytes).unwrap();
+        assert_eq!(
+            dir.len(),
+            count,
+            "the canonical {kind} has all its sections"
         );
+        let payload_start = dir[0].offset as usize;
+        let mut cuts = vec![0, 4, 8, 12, HEADER_LEN, payload_start - 8, payload_start];
+        cuts.extend(dir.iter().map(|s| (s.offset + s.length) as usize));
+        let full = cuts.pop().unwrap();
+        assert_eq!(full, bytes.len(), "the last boundary is the full file");
+        for cut in cuts {
+            let got = decode(&bytes[..cut]);
+            assert!(
+                matches!(
+                    got,
+                    Err(Error::Truncated) | Err(Error::HeaderChecksumMismatch)
+                ),
+                "{kind}: truncation at {cut} gave {got:?}"
+            );
+        }
     }
 }
 
@@ -218,46 +273,87 @@ fn reserved_words_and_id_order_are_enforced() {
     ));
 }
 
+/// `bytes` with flags byte 8 XORed by `mask`, the header checksum forged.
+fn with_flags_toggled(bytes: &[u8], mask: u8) -> Vec<u8> {
+    let mut bad = bytes.to_vec();
+    bad[8] ^= mask;
+    fix_header_checksum(&mut bad);
+    bad
+}
+
 #[test]
 fn flag_tampering_with_fixed_checksums_is_rejected() {
-    let bytes = canonical_bytes();
-    // An unknown flag bit: rejected even though both checksums pass.
-    let mut unknown = bytes.clone();
-    unknown[9] |= 0x80;
-    fix_header_checksum(&mut unknown);
-    assert_eq!(
-        decode_index(&unknown).unwrap_err(),
-        Error::Invalid("unknown flag bits set")
-    );
-    // Clearing the handles flag while the section remains: list mismatch.
-    let mut cleared = bytes;
-    cleared[8] &= !0x04;
-    fix_header_checksum(&mut cleared);
-    assert_eq!(
-        decode_index(&cleared).unwrap_err(),
-        Error::Invalid("section list does not match the header flags")
-    );
+    const GLOBAL: u8 = 1;
+    const DYNAMIC: u8 = 1 << 1;
+    const HANDLES: u8 = 1 << 2;
+    const STANDALONE: u8 = 1 << 3;
+    let mismatch = Error::Invalid("section list does not match the header flags");
+    for (kind, bytes, _, decode) in kinds() {
+        // An unknown flag bit: rejected even though both checksums pass.
+        let mut unknown = bytes.clone();
+        unknown[9] |= 0x80;
+        fix_header_checksum(&mut unknown);
+        assert_eq!(
+            decode(&unknown).unwrap_err(),
+            Error::Invalid("unknown flag bits set"),
+            "{kind}"
+        );
+        // Toggling any one known flag promises a section list the file
+        // does not have: the index loses its handles, global or dynamic
+        // group, or turns standalone; a standalone diagram turns index,
+        // changes between cell and subcell, or claims an index-only group.
+        for mask in [GLOBAL, DYNAMIC, HANDLES, STANDALONE] {
+            assert_eq!(
+                decode(&with_flags_toggled(&bytes, mask)).unwrap_err(),
+                mismatch,
+                "{kind}: flags ^ {mask:#x}"
+            );
+        }
+    }
+}
+
+#[test]
+fn kind_confusion_is_a_typed_error() {
+    let index = canonical_bytes();
+    let cell = cell_bytes();
+    let subcell = subcell_bytes();
+    let holds_index = Error::Invalid("the container holds an index, not a standalone diagram");
+    let holds_cell = Error::Invalid("the container holds a standalone cell diagram");
+    let holds_subcell = Error::Invalid("the container holds a standalone subcell diagram");
+    assert_eq!(kind(&index), Ok(Kind::Index));
+    assert_eq!(kind(&cell), Ok(Kind::CellDiagram));
+    assert_eq!(kind(&subcell), Ok(Kind::SubcellDiagram));
+    // The index decoder on standalone files.
+    assert_eq!(index_decode(&cell).unwrap_err(), holds_cell);
+    assert_eq!(index_decode(&subcell).unwrap_err(), holds_subcell);
+    // The standalone decoders on an index file.
+    assert_eq!(cell_decode(&index).unwrap_err(), holds_index);
+    assert_eq!(subcell_decode(&index).unwrap_err(), holds_index);
+    // The cell decoder on a subcell file, and back.
+    assert_eq!(cell_decode(&subcell).unwrap_err(), holds_subcell);
+    assert_eq!(subcell_decode(&cell).unwrap_err(), holds_cell);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Any proper-prefix truncation (not just section boundaries) fails
-    /// with a typed error.
+    /// Any proper-prefix truncation (not just section boundaries) of any
+    /// kind of container fails with a typed error.
     #[test]
     fn random_truncations_are_rejected(cut in any::<prop::sample::Index>()) {
-        let bytes = canonical_bytes();
-        let cut = cut.index(bytes.len());
-        prop_assert!(decode_index(&bytes[..cut]).is_err());
+        for (kind, bytes, _, decode) in kinds() {
+            let cut = cut.index(bytes.len());
+            prop_assert!(decode(&bytes[..cut]).is_err(), "{}: prefix of {} bytes", kind, cut);
+        }
     }
 
     /// Trailing junk of any size and content is reported exactly.
     #[test]
     fn trailing_junk_is_rejected(junk in proptest::collection::vec(any::<u8>(), 1..9)) {
-        let mut bytes = canonical_bytes();
-        let n = junk.len();
-        bytes.extend_from_slice(&junk);
-        prop_assert_eq!(decode_index(&bytes).unwrap_err(), Error::TrailingBytes(n));
+        for (kind, mut bytes, _, decode) in kinds() {
+            bytes.extend_from_slice(&junk);
+            prop_assert_eq!(decode(&bytes).unwrap_err(), Error::TrailingBytes(junk.len()), "{}", kind);
+        }
     }
 
     /// Adversarial payloads: a random byte change *with forged checksums*

@@ -1,14 +1,15 @@
 //! The facade + persistence workflow: build a [`SkylineIndex`], answer all
-//! three query semantics, serialize the diagrams to disk, and reload them
-//! with full validation — the data-owner side of the outsourcing story.
+//! three query semantics, save the index to a snapshot container, and load
+//! it back with full validation — the data-owner side of the outsourcing
+//! story.
 //!
 //! ```text
 //! cargo run -p skyline-examples --bin index_and_persistence
 //! ```
 
+use skyline_core::container::{decode_index, encode_index};
 use skyline_core::geometry::Point;
 use skyline_core::index::SkylineIndex;
-use skyline_core::serialize;
 use skyline_data::{DatasetSpec, Distribution};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -39,34 +40,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         zone.bounding_box()
     );
 
-    // Persist the diagrams. The format is versioned and checksummed: any
+    // Persist the index. The container is versioned and checksummed: any
     // corruption fails decoding instead of producing wrong answers.
     let dir = std::path::Path::new("target/persistence-demo");
     std::fs::create_dir_all(dir)?;
+    let bytes = encode_index(&index, &[]);
+    std::fs::write(dir.join("index.skd"), &bytes)?;
+    println!("\npersisted the index: {} B", bytes.len());
 
-    let quadrant_bytes = serialize::encode_cell_diagram(index.quadrant_diagram());
-    let global_bytes = serialize::encode_cell_diagram(index.global_diagram().expect("built above"));
-    let dynamic_bytes =
-        serialize::encode_subcell_diagram(index.dynamic_diagram().expect("built above"));
-    std::fs::write(dir.join("quadrant.skyd"), &quadrant_bytes)?;
-    std::fs::write(dir.join("global.skyd"), &global_bytes)?;
-    std::fs::write(dir.join("dynamic.skyd"), &dynamic_bytes)?;
-    println!(
-        "\npersisted: quadrant {} B, global {} B, dynamic {} B",
-        quadrant_bytes.len(),
-        global_bytes.len(),
-        dynamic_bytes.len()
-    );
-
-    // Reload and verify answers survive the roundtrip.
-    let reloaded = serialize::decode_cell_diagram(&std::fs::read(dir.join("quadrant.skyd"))?)?;
-    assert_eq!(reloaded.query(q), index.quadrant(q));
-    println!("reloaded quadrant diagram answers identically ✓");
+    // Reload: no diagram is rebuilt, and every answer survives.
+    let reloaded = decode_index(&std::fs::read(dir.join("index.skd"))?)?.index;
+    assert_eq!(reloaded.quadrant(q), index.quadrant(q));
+    assert_eq!(reloaded.global(q), index.global(q));
+    assert_eq!(reloaded.dynamic(q), index.dynamic(q));
+    println!("reloaded index answers identically ✓");
 
     // Corruption demo: flip one byte, watch decoding refuse.
-    let mut bad = quadrant_bytes.clone();
-    bad[quadrant_bytes.len() / 2] ^= 0xFF;
-    match serialize::decode_cell_diagram(&bad) {
+    let mut bad = bytes.clone();
+    bad[bytes.len() / 2] ^= 0xFF;
+    match decode_index(&bad) {
         Err(e) => println!("corrupted copy rejected: {e}"),
         Ok(_) => unreachable!("corruption must be detected"),
     }

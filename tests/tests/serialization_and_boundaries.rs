@@ -1,15 +1,17 @@
-//! Integration + property tests for the serialization format, the boundary
-//! tracer, and the index facade — the production-surface features layered
-//! on top of the paper's algorithms.
+//! Integration + property tests for standalone diagrams in the snapshot
+//! container, the boundary tracer, and the index facade — the
+//! production-surface features layered on top of the paper's algorithms.
 
 use proptest::prelude::*;
+use skyline_core::container::{
+    decode_cell_diagram, decode_subcell_diagram, encode_cell_diagram, encode_subcell_diagram,
+};
 use skyline_core::diagram::boundary::{boundary_loops, signed_area_doubled, ClipBox};
 use skyline_core::diagram::merge::merge;
 use skyline_core::dynamic::DynamicEngine;
 use skyline_core::geometry::{Dataset, Point};
 use skyline_core::index::SkylineIndex;
 use skyline_core::quadrant::QuadrantEngine;
-use skyline_core::serialize;
 use skyline_data::{DatasetSpec, Distribution};
 
 #[test]
@@ -17,7 +19,7 @@ fn serialization_roundtrips_across_distributions() {
     for spec in skyline_integration_tests::standard_specs(50) {
         let ds = spec.build_2d();
         let d = QuadrantEngine::Sweeping.build(&ds);
-        let decoded = serialize::decode_cell_diagram(&serialize::encode_cell_diagram(&d)).unwrap();
+        let (_, decoded) = decode_cell_diagram(&encode_cell_diagram(&ds, &d)).unwrap();
         assert!(decoded.same_results(&d), "{spec:?}");
     }
 }
@@ -33,8 +35,8 @@ fn dynamic_serialization_roundtrips() {
     };
     let ds = spec.build_2d();
     let d = DynamicEngine::Scanning.build(&ds);
-    let decoded =
-        serialize::decode_subcell_diagram(&serialize::encode_subcell_diagram(&d)).unwrap();
+    let (dataset, decoded) = decode_subcell_diagram(&encode_subcell_diagram(&ds, &d)).unwrap();
+    assert_eq!(dataset.points(), ds.points());
     assert!(decoded.same_results(&d));
 }
 
@@ -47,8 +49,8 @@ proptest! {
     ) {
         let ds = Dataset::from_coords(coords).unwrap();
         let d = QuadrantEngine::Scanning.build(&ds);
-        let bytes = serialize::encode_cell_diagram(&d);
-        let decoded = serialize::decode_cell_diagram(&bytes).unwrap();
+        let bytes = encode_cell_diagram(&ds, &d);
+        let (_, decoded) = decode_cell_diagram(&bytes).unwrap();
         prop_assert!(decoded.same_results(&d));
     }
 
@@ -59,10 +61,10 @@ proptest! {
     ) {
         let ds = Dataset::from_coords(coords).unwrap();
         let d = DynamicEngine::Scanning.build(&ds);
-        let mut bytes = serialize::encode_subcell_diagram(&d);
+        let mut bytes = encode_subcell_diagram(&ds, &d);
         let idx = flip.index(bytes.len());
         bytes[idx] ^= 0x01;
-        if let Ok(decoded) = serialize::decode_subcell_diagram(&bytes) {
+        if let Ok((_, decoded)) = decode_subcell_diagram(&bytes) {
             prop_assert!(decoded.same_results(&d), "silent corruption at byte {idx}");
         }
     }
@@ -74,12 +76,12 @@ proptest! {
     ) {
         let ds = Dataset::from_coords(coords).unwrap();
         let d = QuadrantEngine::Sweeping.build(&ds);
-        let mut bytes = serialize::encode_cell_diagram(&d);
+        let mut bytes = encode_cell_diagram(&ds, &d);
         let idx = flip.index(bytes.len());
         bytes[idx] ^= 0x01;
-        // Either the checksum or a structural validation must reject it;
+        // Either a checksum or a structural validation must reject it;
         // decoding silently to a *different* diagram would be a bug.
-        if let Ok(decoded) = serialize::decode_cell_diagram(&bytes) {
+        if let Ok((_, decoded)) = decode_cell_diagram(&bytes) {
             prop_assert!(decoded.same_results(&d), "silent corruption at byte {idx}");
         }
     }
