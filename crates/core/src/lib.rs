@@ -76,6 +76,7 @@ pub mod quadrant;
 pub mod query;
 pub mod repair;
 pub mod result_set;
+mod serialize;
 pub mod skyband;
 pub mod skyline;
 pub mod sync;

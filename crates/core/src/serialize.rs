@@ -1,31 +1,24 @@
-//! Compact binary serialization for diagrams.
+//! Shipping a diagram: serialization of standalone diagrams.
 //!
 //! The outsourcing applications (authentication, PIR) need diagrams to
 //! travel: a data owner builds once and ships the structure to servers.
-//! This module defines a small, versioned, checksummed binary format:
-//!
-//! ```text
-//! magic "SKYD" | version u16 | kind u8 | payload | fnv64 checksum
-//! payload (cell diagram):    x_lines | y_lines | interner | cells
-//! lines:    u32 count, i64 values (strictly increasing)
-//! interner: u32 count, per result: u32 len, u32 ids (strictly increasing)
-//! cells:    u32 count, u32 result ids (bounds-checked)
-//! ```
-//!
-//! Everything is little-endian. Decoding is *paranoid*: magic, version,
-//! kind, checksum, monotonicity of lines, sortedness of results, result-id
-//! bounds, and exact trailing length are all validated, so a corrupted or
-//! truncated file fails loudly instead of producing a wrong diagram.
+//! The format is the snapshot container ([`crate::container`]); a
+//! standalone file carries one cell or subcell diagram together with the
+//! dataset it was built over, so the decode rebuilds the grid from that
+//! dataset and cross-validates the stored cells. This module holds the
+//! worked example and the unit tests that pin the standalone group on the
+//! hotel fixture; the container's own tests cover the index group.
 //!
 //! ```
+//! use skyline_core::container::{decode_cell_diagram, encode_cell_diagram};
 //! use skyline_core::geometry::{Dataset, Point};
 //! use skyline_core::quadrant::QuadrantEngine;
-//! use skyline_core::serialize::{decode_cell_diagram, encode_cell_diagram};
 //!
 //! let ds = Dataset::from_coords([(1, 4), (3, 2)])?;
 //! let diagram = QuadrantEngine::Scanning.build(&ds);
-//! let bytes = encode_cell_diagram(&diagram);
-//! let restored = decode_cell_diagram(&bytes).expect("fresh bytes decode");
+//! let bytes = encode_cell_diagram(&ds, &diagram);
+//! let (dataset, restored) = decode_cell_diagram(&bytes).expect("fresh bytes decode");
+//! assert_eq!(dataset.points(), ds.points());
 //! assert_eq!(restored.query(Point::new(0, 0)), diagram.query(Point::new(0, 0)));
 //!
 //! let mut corrupted = bytes.clone();
@@ -34,321 +27,41 @@
 //! # Ok::<(), skyline_core::Error>(())
 //! ```
 
-use crate::diagram::CellDiagram;
-use crate::dynamic::SubcellDiagram;
-use crate::geometry::{CellGrid, Coord, Dataset, Point, PointId};
-use crate::result_set::{ResultId, ResultInterner};
-
-const MAGIC: &[u8; 4] = b"SKYD";
-const VERSION: u16 = 1;
-
-const KIND_CELL: u8 = 1;
-const KIND_SUBCELL: u8 = 2;
-
-/// Decoding errors.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Wrong magic bytes: not a skyline-diagram file.
-    BadMagic,
-    /// Unsupported format version.
-    BadVersion(u16),
-    /// Unexpected diagram kind byte.
-    BadKind(u8),
-    /// Checksum mismatch: the payload was corrupted.
-    ChecksumMismatch,
-    /// The buffer ended before the structure was complete.
-    Truncated,
-    /// Trailing bytes after a complete structure.
-    TrailingBytes(usize),
-    /// A structural invariant failed (message describes which).
-    Invalid(&'static str),
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::BadMagic => write!(f, "not a skyline-diagram file"),
-            DecodeError::BadVersion(v) => write!(f, "unsupported format version {v}"),
-            DecodeError::BadKind(k) => write!(f, "unexpected diagram kind {k}"),
-            DecodeError::ChecksumMismatch => write!(f, "checksum mismatch"),
-            DecodeError::Truncated => write!(f, "truncated input"),
-            DecodeError::TrailingBytes(n) => write!(f, "{n} trailing bytes"),
-            DecodeError::Invalid(what) => write!(f, "invalid structure: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
-
-fn fnv64(data: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in data {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-// --- Writer ------------------------------------------------------------
-
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn new(kind: u8) -> Self {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&VERSION.to_le_bytes());
-        buf.push(kind);
-        Writer { buf }
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn lines(&mut self, lines: &[Coord]) {
-        self.u32(lines.len() as u32);
-        for &v in lines {
-            self.i64(v);
-        }
-    }
-
-    fn interner(&mut self, interner: &ResultInterner) {
-        self.u32(interner.len() as u32);
-        for (_, ids) in interner.iter() {
-            self.u32(ids.len() as u32);
-            for id in ids {
-                self.u32(id.0);
-            }
-        }
-    }
-
-    fn cells(&mut self, cells: &[ResultId]) {
-        self.u32(cells.len() as u32);
-        for rid in cells {
-            self.u32(rid.0);
-        }
-    }
-
-    fn finish(mut self) -> Vec<u8> {
-        let checksum = fnv64(&self.buf);
-        self.buf.extend_from_slice(&checksum.to_le_bytes());
-        self.buf
-    }
-}
-
-// --- Reader ------------------------------------------------------------
-
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn open(data: &'a [u8], expect_kind: u8) -> Result<Self, DecodeError> {
-        if data.len() < 4 + 2 + 1 + 8 {
-            return Err(DecodeError::Truncated);
-        }
-        let (body, tail) = data.split_at(data.len() - 8);
-        let stored = u64::from_le_bytes(tail.try_into().expect("split_at leaves an 8-byte tail"));
-        if fnv64(body) != stored {
-            return Err(DecodeError::ChecksumMismatch);
-        }
-        if &body[..4] != MAGIC {
-            return Err(DecodeError::BadMagic);
-        }
-        let version = u16::from_le_bytes([body[4], body[5]]);
-        if version != VERSION {
-            return Err(DecodeError::BadVersion(version));
-        }
-        if body[6] != expect_kind {
-            return Err(DecodeError::BadKind(body[6]));
-        }
-        Ok(Reader { data: body, pos: 7 })
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        let end = self.pos.checked_add(4).ok_or(DecodeError::Truncated)?;
-        let bytes = self.data.get(self.pos..end).ok_or(DecodeError::Truncated)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(
-            bytes.try_into().expect("get(pos..pos+4) is 4 bytes long"),
-        ))
-    }
-
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        let end = self.pos.checked_add(8).ok_or(DecodeError::Truncated)?;
-        let bytes = self.data.get(self.pos..end).ok_or(DecodeError::Truncated)?;
-        self.pos = end;
-        Ok(i64::from_le_bytes(
-            bytes.try_into().expect("get(pos..pos+8) is 8 bytes long"),
-        ))
-    }
-
-    fn lines(&mut self) -> Result<Vec<Coord>, DecodeError> {
-        let count = self.u32()? as usize;
-        let mut out = Vec::with_capacity(count.min(1 << 20));
-        for _ in 0..count {
-            out.push(self.i64()?);
-        }
-        if !out.windows(2).all(|w| w[0] < w[1]) {
-            return Err(DecodeError::Invalid(
-                "grid lines must be strictly increasing",
-            ));
-        }
-        if out.is_empty() {
-            return Err(DecodeError::Invalid(
-                "a diagram needs at least one grid line",
-            ));
-        }
-        Ok(out)
-    }
-
-    fn interner(&mut self) -> Result<ResultInterner, DecodeError> {
-        let count = self.u32()? as usize;
-        if count == 0 {
-            return Err(DecodeError::Invalid(
-                "interner must contain the empty result",
-            ));
-        }
-        let mut interner = ResultInterner::new();
-        for k in 0..count {
-            let len = self.u32()? as usize;
-            let mut ids = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                ids.push(PointId(self.u32()?));
-            }
-            if !ids.windows(2).all(|w| w[0] < w[1]) {
-                return Err(DecodeError::Invalid(
-                    "result ids must be strictly increasing",
-                ));
-            }
-            if k == 0 && !ids.is_empty() {
-                return Err(DecodeError::Invalid("result 0 must be the empty result"));
-            }
-            let rid = interner.intern_sorted(ids);
-            if rid.0 as usize != k {
-                return Err(DecodeError::Invalid("duplicate result in interner"));
-            }
-        }
-        Ok(interner)
-    }
-
-    fn cells(&mut self, expected: usize, bound: usize) -> Result<Vec<ResultId>, DecodeError> {
-        let count = self.u32()? as usize;
-        if count != expected {
-            return Err(DecodeError::Invalid("cell count does not match grid"));
-        }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            let rid = self.u32()?;
-            if rid as usize >= bound {
-                return Err(DecodeError::Invalid("cell references unknown result"));
-            }
-            out.push(ResultId(rid));
-        }
-        Ok(out)
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos != self.data.len() {
-            return Err(DecodeError::TrailingBytes(self.data.len() - self.pos));
-        }
-        Ok(())
-    }
-}
-
-// --- Public API ---------------------------------------------------------
-
-/// Serializes a cell diagram.
-pub fn encode_cell_diagram(diagram: &CellDiagram) -> Vec<u8> {
-    let mut w = Writer::new(KIND_CELL);
-    w.lines(diagram.grid().x_lines());
-    w.lines(diagram.grid().y_lines());
-    w.interner(diagram.results());
-    w.cells(diagram.cell_results());
-    w.finish()
-}
-
-/// Deserializes a cell diagram.
-///
-/// The cell grid is reconstructed from synthetic one-point-per-line data;
-/// per-point rank metadata is not retained (it is only needed during
-/// construction), so decoded diagrams answer queries and merge but cannot
-/// seed incremental engines.
-pub fn decode_cell_diagram(data: &[u8]) -> Result<CellDiagram, DecodeError> {
-    let mut r = Reader::open(data, KIND_CELL)?;
-    let xs = r.lines()?;
-    let ys = r.lines()?;
-    // Rebuild a grid with the same line structure: one synthetic point per
-    // (x, y) pair, padding the shorter axis by repeating its last value.
-    let n = xs.len().max(ys.len());
-    let synth =
-        Dataset::from_coords((0..n).map(|k| (xs[k.min(xs.len() - 1)], ys[k.min(ys.len() - 1)])))
-            .map_err(|_| DecodeError::Invalid("grid lines exceed coordinate bounds"))?;
-    let grid = CellGrid::new(&synth);
-    debug_assert_eq!(grid.x_lines(), xs.as_slice());
-    debug_assert_eq!(grid.y_lines(), ys.as_slice());
-
-    let interner = r.interner()?;
-    let cells = r.cells(grid.cell_count(), interner.len())?;
-    r.finish()?;
-    Ok(CellDiagram::from_parts(grid, interner, cells))
-}
-
-/// Serializes a dynamic subcell diagram.
-pub fn encode_subcell_diagram(diagram: &SubcellDiagram) -> Vec<u8> {
-    let mut w = Writer::new(KIND_SUBCELL);
-    w.lines(diagram.grid().x_lines());
-    w.lines(diagram.grid().y_lines());
-    w.interner(diagram.results());
-    w.cells(diagram.cell_results());
-    w.finish()
-}
-
-/// Deserializes a dynamic subcell diagram.
-pub fn decode_subcell_diagram(data: &[u8]) -> Result<SubcellDiagram, DecodeError> {
-    let mut r = Reader::open(data, KIND_SUBCELL)?;
-    let xs = r.lines()?;
-    let ys = r.lines()?;
-    let interner = r.interner()?;
-    let expected = (xs.len() + 1) * (ys.len() + 1);
-    let cells = r.cells(expected, interner.len())?;
-    r.finish()?;
-    Ok(SubcellDiagram::from_lines(xs, ys, interner, cells))
-}
-
-/// Convenience: query support after decode is identical to pre-encode.
-/// (Documented here because decode rebuilds grids synthetically.)
-pub fn roundtrip_query_check(diagram: &CellDiagram, q: Point) -> bool {
-    let decoded =
-        decode_cell_diagram(&encode_cell_diagram(diagram)).expect("fresh encoding always decodes");
-    decoded.query(q) == diagram.query(q)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::container::{
+        decode_cell_diagram, decode_index, decode_subcell_diagram, encode_cell_diagram,
+        encode_index, encode_subcell_diagram, Error,
+    };
+    use crate::diagram::CellDiagram;
     use crate::dynamic::DynamicEngine;
+    use crate::geometry::{Dataset, Point};
+    use crate::index::SkylineIndex;
     use crate::quadrant::QuadrantEngine;
+    use crate::test_data::hotel_dataset;
 
-    fn diagram() -> CellDiagram {
-        QuadrantEngine::Sweeping.build(&crate::test_data::hotel_dataset())
+    fn diagram() -> (Dataset, CellDiagram) {
+        let ds = hotel_dataset();
+        let d = QuadrantEngine::Sweeping.build(&ds);
+        (ds, d)
+    }
+
+    fn subcell_bytes() -> Vec<u8> {
+        let ds = Dataset::from_coords([(0, 0), (6, 10)]).unwrap();
+        encode_subcell_diagram(&ds, &DynamicEngine::Scanning.build(&ds))
     }
 
     #[test]
     fn cell_roundtrip_preserves_everything() {
-        let d = diagram();
-        let decoded = decode_cell_diagram(&encode_cell_diagram(&d)).unwrap();
+        let (ds, d) = diagram();
+        let (dataset, decoded) = decode_cell_diagram(&encode_cell_diagram(&ds, &d)).unwrap();
+        assert_eq!(dataset.points(), ds.points());
+        assert_eq!(decoded.grid().x_lines(), d.grid().x_lines());
+        assert_eq!(decoded.grid().y_lines(), d.grid().y_lines());
         assert!(decoded.same_results(&d));
         for q in [(0, 0), (10, 80), (14, 81), (25, 100)] {
-            assert!(roundtrip_query_check(&d, Point::new(q.0, q.1)));
+            let q = Point::new(q.0, q.1);
+            assert_eq!(decoded.query(q), d.query(q), "query at {q}");
         }
     }
 
@@ -356,14 +69,18 @@ mod tests {
     fn subcell_roundtrip_preserves_everything() {
         let ds = Dataset::from_coords([(0, 0), (6, 10), (12, 4)]).unwrap();
         let d = DynamicEngine::Scanning.build(&ds);
-        let decoded = decode_subcell_diagram(&encode_subcell_diagram(&d)).unwrap();
+        let (dataset, decoded) = decode_subcell_diagram(&encode_subcell_diagram(&ds, &d)).unwrap();
+        assert_eq!(dataset.points(), ds.points());
+        assert_eq!(decoded.grid().x_lines(), d.grid().x_lines());
+        assert_eq!(decoded.grid().y_lines(), d.grid().y_lines());
         assert!(decoded.same_results(&d));
         assert_eq!(decoded.query(Point::new(5, 5)), d.query(Point::new(5, 5)));
     }
 
     #[test]
     fn corruption_is_detected() {
-        let bytes = encode_cell_diagram(&diagram());
+        let (ds, d) = diagram();
+        let bytes = encode_cell_diagram(&ds, &d);
         for idx in [0usize, 5, 6, 20, bytes.len() - 9, bytes.len() - 1] {
             let mut bad = bytes.clone();
             bad[idx] ^= 0x55;
@@ -376,7 +93,8 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let bytes = encode_cell_diagram(&diagram());
+        let (ds, d) = diagram();
+        let bytes = encode_cell_diagram(&ds, &d);
         for cut in [0usize, 3, 10, bytes.len() / 2, bytes.len() - 1] {
             assert!(decode_cell_diagram(&bytes[..cut]).is_err(), "cut at {cut}");
         }
@@ -384,37 +102,41 @@ mod tests {
 
     #[test]
     fn kind_confusion_is_detected() {
-        let ds = Dataset::from_coords([(0, 0), (6, 10)]).unwrap();
-        let sub = encode_subcell_diagram(&DynamicEngine::Scanning.build(&ds));
         assert_eq!(
-            decode_cell_diagram(&sub).err(),
-            Some(DecodeError::BadKind(KIND_SUBCELL))
+            decode_cell_diagram(&subcell_bytes()).err(),
+            Some(Error::Invalid(
+                "the container holds a standalone subcell diagram"
+            ))
         );
     }
 
     #[test]
     fn trailing_bytes_are_detected() {
-        let mut bytes = encode_cell_diagram(&diagram());
-        // Append junk *and* fix up the checksum so only the length check
-        // can catch it.
-        let body_end = bytes.len() - 8;
-        bytes.truncate(body_end);
+        let (ds, d) = diagram();
+        let mut bytes = encode_cell_diagram(&ds, &d);
+        // Both checksums still pass: only the length check can catch it.
         bytes.extend_from_slice(&[0, 0, 0, 0]);
-        let checksum = super::fnv64(&bytes);
-        bytes.extend_from_slice(&checksum.to_le_bytes());
         assert_eq!(
             decode_cell_diagram(&bytes).err(),
-            Some(DecodeError::TrailingBytes(4))
+            Some(Error::TrailingBytes(4))
         );
     }
 
     #[test]
     fn error_display() {
-        assert!(DecodeError::BadMagic.to_string().contains("not a skyline"));
-        assert!(DecodeError::BadVersion(9).to_string().contains('9'));
-        assert!(DecodeError::ChecksumMismatch
-            .to_string()
-            .contains("checksum"));
-        assert!(DecodeError::Invalid("x").to_string().contains('x'));
+        // Kind confusion names what the file holds, so a caller that
+        // reports the error tells the user which decoder to use instead.
+        let index = encode_index(&SkylineIndex::new(&hotel_dataset()), &[]);
+        let on_index = decode_cell_diagram(&index).unwrap_err().to_string();
+        assert!(on_index.contains("holds an index"), "{on_index}");
+        let on_subcell = decode_cell_diagram(&subcell_bytes())
+            .unwrap_err()
+            .to_string();
+        assert!(on_subcell.contains("subcell diagram"), "{on_subcell}");
+        let (ds, d) = diagram();
+        let on_cell = decode_index(&encode_cell_diagram(&ds, &d))
+            .unwrap_err()
+            .to_string();
+        assert!(on_cell.contains("cell diagram"), "{on_cell}");
     }
 }

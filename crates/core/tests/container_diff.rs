@@ -7,15 +7,11 @@
 //! pins the three configurations explicitly in-process via
 //! [`ParallelConfig::with_threads`]). Degenerate datasets — duplicate
 //! coordinates, collinear points, `n = 1` — are covered both directly and
-//! via proptest. Standalone cell and subcell diagrams round-trip to the
-//! same dataset, grid lines and answers.
+//! via proptest.
 
 use proptest::prelude::*;
 
-use skyline_core::container::{
-    decode_cell_diagram, decode_index, decode_subcell_diagram, encode_cell_diagram, encode_index,
-    encode_subcell_diagram,
-};
+use skyline_core::container::{decode_index, encode_index};
 use skyline_core::dynamic::DynamicEngine;
 use skyline_core::geometry::{Dataset, Point};
 use skyline_core::index::SkylineIndex;
@@ -198,8 +194,8 @@ fn quadrant_only_and_global_only_flag_subsets_round_trip() {
     assert_save_load_is_identity(&with_global);
 }
 
-/// Distinct-pair dataset from raw proptest coordinates (`None` when no
-/// pair survives).
+/// Distinct-pair dataset from raw proptest coordinates (as in
+/// `serialize_prop.rs`).
 fn dataset_from(pairs: Vec<(i64, i64)>) -> Option<Dataset> {
     let mut seen = std::collections::HashSet::new();
     let coords: Vec<(i64, i64)> = pairs.into_iter().filter(|p| seen.insert(*p)).collect();
@@ -256,50 +252,6 @@ proptest! {
         for (x, y) in probes {
             let q = Point::new(x, y);
             prop_assert_eq!(loaded.index.dynamic(q), index.dynamic(q), "dynamic at {}", q);
-        }
-    }
-
-    /// Standalone cell diagrams from every quadrant engine decode to the
-    /// same dataset, grid lines, interned results and answers.
-    #[test]
-    fn cell_roundtrip_is_identity(
-        pairs in prop::collection::vec((0i64..500, 0i64..500), 1..40),
-        engine_pick in 0usize..8,
-        probes in prop::collection::vec((-10i64..520, -10i64..520), 8),
-    ) {
-        let Some(ds) = dataset_from(pairs) else { return Ok(()) };
-        let engine = QuadrantEngine::ALL[engine_pick % QuadrantEngine::ALL.len()];
-        let diagram = engine.build(&ds);
-        let (dataset, decoded) = decode_cell_diagram(&encode_cell_diagram(&ds, &diagram))
-            .map_err(|e| TestCaseError::fail(format!("fresh bytes failed: {e}")))?;
-        prop_assert_eq!(dataset.points(), ds.points());
-        prop_assert_eq!(decoded.grid().x_lines(), diagram.grid().x_lines());
-        prop_assert_eq!(decoded.grid().y_lines(), diagram.grid().y_lines());
-        prop_assert!(decoded.same_results(&diagram), "results diverged");
-        for (x, y) in probes {
-            let q = Point::new(x, y);
-            prop_assert_eq!(decoded.query(q), diagram.query(q), "query at {}", q);
-        }
-    }
-
-    /// Standalone subcell diagrams from both dynamic engines decode to the
-    /// same dataset, bisector lines and answers.
-    #[test]
-    fn subcell_roundtrip_is_identity(
-        pairs in prop::collection::vec((0i64..120, 0i64..120), 1..10),
-        scanning in 0usize..2,
-        probes in prop::collection::vec((-4i64..130, -4i64..130), 6),
-    ) {
-        let Some(ds) = dataset_from(pairs) else { return Ok(()) };
-        let engine = if scanning == 0 { DynamicEngine::Scanning } else { DynamicEngine::Subset };
-        let diagram = engine.build(&ds);
-        let (dataset, decoded) = decode_subcell_diagram(&encode_subcell_diagram(&ds, &diagram))
-            .map_err(|e| TestCaseError::fail(format!("fresh bytes failed: {e}")))?;
-        prop_assert_eq!(dataset.points(), ds.points());
-        prop_assert!(decoded.same_results(&diagram), "results diverged");
-        for (x, y) in probes {
-            let q = Point::new(x, y);
-            prop_assert_eq!(decoded.query(q), diagram.query(q), "query at {}", q);
         }
     }
 }

@@ -1,25 +1,24 @@
-//! Property-based round-trip and corruption suite for the binary diagram
-//! format (`serialize.rs`).
+//! Property-based round-trip and corruption suite for serialized
+//! standalone diagrams (the standalone group of `skyline_core::container`).
 //!
 //! Two families of properties:
 //!
 //! * **Round-trip identity** — for random datasets and engines, decoding an
-//!   encoding reproduces the diagram exactly (same grid lines, same interned
-//!   results, same answers at random probes).
+//!   encoding reproduces the diagram exactly (same dataset, same grid
+//!   lines, same interned results, same answers at random probes).
 //! * **Corruption totality** — *every* single-bit flip, truncation, and
-//!   trailing-junk mutation of a valid encoding yields `Err(_)`. The format
-//!   must never decode mutated bytes into a structurally valid but *wrong*
-//!   diagram; the whole-body checksum plus the structural validators make
-//!   this total, and these tests enforce it over random mutation positions
-//!   rather than the handful of hand-picked offsets in the unit tests.
+//!   trailing-junk mutation of a valid encoding over a random dataset
+//!   yields `Err(_)`. `container_corruption.rs` runs the exhaustive
+//!   batteries on one fixed file of each kind; these properties vary the
+//!   dataset, so the section sizes and offsets vary with it.
 
 use proptest::prelude::*;
+use skyline_core::container::{
+    decode_cell_diagram, decode_subcell_diagram, encode_cell_diagram, encode_subcell_diagram,
+};
 use skyline_core::dynamic::DynamicEngine;
 use skyline_core::geometry::{Dataset, Point};
 use skyline_core::quadrant::QuadrantEngine;
-use skyline_core::serialize::{
-    decode_cell_diagram, decode_subcell_diagram, encode_cell_diagram, encode_subcell_diagram,
-};
 
 /// Distinct-pair dataset from raw proptest coordinates (`None` when every
 /// pair was a duplicate of an earlier one — impossible here since inputs
@@ -38,6 +37,10 @@ fn pick_quadrant_engine(pick: usize) -> QuadrantEngine {
     QuadrantEngine::ALL[pick % QuadrantEngine::ALL.len()]
 }
 
+fn cell_bytes(ds: &Dataset, engine: QuadrantEngine) -> Vec<u8> {
+    encode_cell_diagram(ds, &engine.build(ds))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -49,11 +52,9 @@ proptest! {
     ) {
         let Some(ds) = dataset_from(pairs) else { return Ok(()) };
         let diagram = pick_quadrant_engine(engine_pick).build(&ds);
-        let decoded = decode_cell_diagram(&encode_cell_diagram(&diagram));
-        let decoded = match decoded {
-            Ok(d) => d,
-            Err(e) => return Err(TestCaseError::fail(format!("fresh bytes failed: {e}"))),
-        };
+        let (dataset, decoded) = decode_cell_diagram(&encode_cell_diagram(&ds, &diagram))
+            .map_err(|e| TestCaseError::fail(format!("fresh bytes failed: {e}")))?;
+        prop_assert_eq!(dataset.points(), ds.points());
         prop_assert_eq!(decoded.grid().x_lines(), diagram.grid().x_lines());
         prop_assert_eq!(decoded.grid().y_lines(), diagram.grid().y_lines());
         prop_assert!(decoded.same_results(&diagram), "results diverged");
@@ -72,11 +73,11 @@ proptest! {
         let Some(ds) = dataset_from(pairs) else { return Ok(()) };
         let engine = if scanning == 0 { DynamicEngine::Scanning } else { DynamicEngine::Subset };
         let diagram = engine.build(&ds);
-        let decoded = decode_subcell_diagram(&encode_subcell_diagram(&diagram));
-        let decoded = match decoded {
-            Ok(d) => d,
-            Err(e) => return Err(TestCaseError::fail(format!("fresh bytes failed: {e}"))),
-        };
+        let (dataset, decoded) = decode_subcell_diagram(&encode_subcell_diagram(&ds, &diagram))
+            .map_err(|e| TestCaseError::fail(format!("fresh bytes failed: {e}")))?;
+        prop_assert_eq!(dataset.points(), ds.points());
+        prop_assert_eq!(decoded.grid().x_lines(), diagram.grid().x_lines());
+        prop_assert_eq!(decoded.grid().y_lines(), diagram.grid().y_lines());
         prop_assert!(decoded.same_results(&diagram), "results diverged");
         for (x, y) in probes {
             let q = Point::new(x, y);
@@ -95,7 +96,7 @@ proptest! {
         bit in 0u32..8,
     ) {
         let Some(ds) = dataset_from(pairs) else { return Ok(()) };
-        let bytes = encode_cell_diagram(&QuadrantEngine::Sweeping.build(&ds));
+        let bytes = cell_bytes(&ds, QuadrantEngine::Sweeping);
         let mut bad = bytes.clone();
         let i = pos.index(bad.len());
         bad[i] ^= 1 << bit;
@@ -111,7 +112,7 @@ proptest! {
         pos in any::<prop::sample::Index>(),
     ) {
         let Some(ds) = dataset_from(pairs) else { return Ok(()) };
-        let bytes = encode_cell_diagram(&QuadrantEngine::Scanning.build(&ds));
+        let bytes = cell_bytes(&ds, QuadrantEngine::Scanning);
         // index(len) < len, so every cut is a *proper* prefix.
         let cut = pos.index(bytes.len());
         prop_assert!(
@@ -126,7 +127,7 @@ proptest! {
         junk in prop::collection::vec(0u8..=255, 1..9),
     ) {
         let Some(ds) = dataset_from(pairs) else { return Ok(()) };
-        let mut bytes = encode_cell_diagram(&QuadrantEngine::Sweeping.build(&ds));
+        let mut bytes = cell_bytes(&ds, QuadrantEngine::Sweeping);
         bytes.extend_from_slice(&junk);
         prop_assert!(
             decode_cell_diagram(&bytes).is_err(),
@@ -141,7 +142,7 @@ proptest! {
         bit in 0u32..8,
     ) {
         let Some(ds) = dataset_from(pairs) else { return Ok(()) };
-        let bytes = encode_subcell_diagram(&DynamicEngine::Scanning.build(&ds));
+        let bytes = encode_subcell_diagram(&ds, &DynamicEngine::Scanning.build(&ds));
         let mut bad = bytes.clone();
         let i = pos.index(bad.len());
         bad[i] ^= 1 << bit;
