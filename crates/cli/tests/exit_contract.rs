@@ -33,6 +33,7 @@ fn assert_clean_failure(out: &Output, what: &str) -> String {
         String::from_utf8_lossy(&out.stdout)
     );
     assert!(stderr.starts_with("skydiag: "), "{what}: stderr: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{what}: stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "{what}: {stderr}");
     stderr
 }
@@ -87,4 +88,19 @@ fn build_with_a_zero_band_order_fails_cleanly() {
     let stderr = assert_clean_failure(&out, "--k 0");
     assert!(stderr.contains("--k"), "{stderr}");
     assert!(!path.exists(), "nothing is written");
+}
+
+#[test]
+fn load_on_a_missing_file_fails_cleanly() {
+    let missing = scratch("load-missing").join("absent.skd");
+    let out = skydiag(&["load", path_str(&missing)]);
+    let stderr = assert_clean_failure(&out, "load of a missing file");
+    assert!(stderr.contains("io error"), "{stderr}");
+}
+
+#[test]
+fn mem_with_an_unknown_mode_fails_cleanly() {
+    let out = skydiag(&["mem", "frobnicate"]);
+    let stderr = assert_clean_failure(&out, "unknown mem mode");
+    assert!(stderr.contains("unknown mem mode"), "{stderr}");
 }

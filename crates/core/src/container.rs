@@ -13,11 +13,10 @@
 //! polyomino partition is not stored: the
 //! quadrant diagram's regions are one polyomino per result, so the decode
 //! derives it from the quadrant cells in two linear passes
-//! ([`quadrant_partition`]). The bitset word blocks of
-//! `result_set::BitsetInterner` are a build-time acceleration structure:
-//! every finished diagram converges on the sorted-id CSR representation
-//! (`to_result_interner`), which is what the container stores; loaded
-//! interners can be re-expanded to word blocks with
+//! ([`quadrant_partition`]). Bitset word blocks exist only while a
+//! diagram is built: `result_set::BitsetInterner` interns them straight
+//! into the sorted-id CSR representation, which is what the container
+//! stores; loaded interners can be re-expanded to word blocks with
 //! `result_set::encode_results` when a word-parallel pass needs them.
 //!
 //! # Layout

@@ -13,7 +13,9 @@
 //! line, more only where lines coincide). All three engines write
 //! run-collapsed bitset rows ([`BitRuns`](crate::result_set::BitRuns)) that
 //! one [`BitsetInterner`](crate::result_set::BitsetInterner) interns in
-//! row-major order, so their results and ids are identical.
+//! row-major order, straight into the diagram's sorted-id arena, so their
+//! results and ids are identical. The stitch consumes the rows as it goes,
+//! so each row's runs are freed as soon as they are interned.
 
 pub mod baseline;
 pub mod highd;

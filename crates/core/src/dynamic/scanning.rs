@@ -145,10 +145,10 @@ pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> SubcellDiagram {
 
     let mut bits = BitsetInterner::new(words);
     let mut cells = Vec::with_capacity(width * height);
-    for row in &rows {
+    for row in rows {
         row.intern_into(&mut bits, &mut cells);
     }
-    SubcellDiagram::from_parts(grid, bits.to_result_interner(), cells)
+    SubcellDiagram::from_parts(grid, bits.finish(), cells)
 }
 
 /// Sweeps one row rightward from its column-0 skyline `seed` across each

@@ -96,10 +96,10 @@ pub fn build_with_global_cfg(
 
     let mut bits = BitsetInterner::new(words);
     let mut cells = Vec::with_capacity(width * height);
-    for row in &rows {
+    for row in rows {
         row.intern_into(&mut bits, &mut cells);
     }
-    SubcellDiagram::from_parts(grid, bits.to_result_interner(), cells)
+    SubcellDiagram::from_parts(grid, bits.finish(), cells)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! word-parallel — `union4_words` is one `OR` pass
 //! per 64 points, independent of the skyline sizes. The unions are
 //! interned straight into the output's sorted-id arena (a
-//! `BlockInterner`: looked up by block, stored as ids), which numbers
+//! [`BitsetInterner`]: looked up by block, stored as ids), which numbers
 //! results by first row-major occurrence with the empty set as id 0, so
 //! no bitset copy of the output is kept. A reflected orthant is reduced to
 //! its arena and cell ids as soon as it is built.
@@ -38,7 +38,7 @@ use crate::geometry::Dataset;
 use crate::parallel::{self, ParallelConfig};
 use crate::quadrant::QuadrantEngine;
 use crate::result_set::{
-    encode_results, union4_words, words_for, BitRuns, BlockInterner, ResultId,
+    encode_results, union4_words, words_for, BitRuns, BitsetInterner, ResultId,
 };
 
 /// Reflections: `(flip_x, flip_y)` selects the quadrant being reduced to
@@ -216,7 +216,7 @@ fn union_orthants(
     } else {
         PARALLEL_UNION_BAND
     };
-    let mut results = BlockInterner::new(words);
+    let mut results = BitsetInterner::new(words);
     let mut cells = Vec::with_capacity(width * height);
     for band in (0..height).step_by(band_rows) {
         let len = band_rows.min(height - band);
@@ -225,11 +225,8 @@ fn union_orthants(
             parallel::map_indexed(cfg, len, |k| orthants.union_row(band + k))
         };
         let _intern = crate::span!("global.intern", len as u64);
-        for row in &rows {
-            for (block, count) in row.runs() {
-                let id = results.intern(block);
-                cells.extend(std::iter::repeat(id).take(count as usize));
-            }
+        for row in rows {
+            row.intern_into(&mut results, &mut cells);
         }
     }
     CellDiagram::from_parts(grid, results.finish(), cells)

@@ -13,12 +13,12 @@
 //! skyline is exactly the point(s) at that corner (such a point dominates
 //! the whole quadrant).
 //!
-//! Results are carried as u64-block bitsets
-//! ([`BitsetInterner`]), so one recurrence step is
-//! three bitwise operations per 64 points
-//! ([`scanning_combine_words`]) plus one block hash,
-//! independent of the skyline sizes; the arena converts to the sorted-id
-//! representation once, id-for-id, at the end of the build.
+//! Results are carried as u64-block bitsets, so one recurrence step is
+//! three bitwise operations per 64 points ([`scanning_combine_words`]) plus
+//! one block hash in the [`BitsetInterner`], independent of the skyline
+//! sizes. The recurrence reads its three neighbours from a rolling buffer
+//! of two rows of blocks; the interner keeps each distinct result only as
+//! sorted ids.
 //!
 //! # Correctness beyond the paper's statement
 //!
@@ -48,7 +48,7 @@
 use crate::diagram::CellDiagram;
 use crate::geometry::{CellGrid, Coord, Dataset, PointId};
 use crate::parallel::{self, ParallelConfig};
-use crate::result_set::{scanning_combine_words, words_for, BitsetInterner};
+use crate::result_set::{scanning_combine_words, words_for, BitsetInterner, ResultId};
 
 /// Builds the quadrant skyline diagram with the scanning recurrence, using
 /// the process-wide parallel configuration (`SKYLINE_THREADS`).
@@ -77,7 +77,7 @@ pub fn build_with(dataset: &Dataset, cfg: &ParallelConfig) -> CellDiagram {
 }
 
 /// The deterministic sequential reference: the paper's clamped recurrence,
-/// word-parallel over the bitset arena.
+/// word-parallel over two rows of bitset blocks.
 fn build_sequential(dataset: &Dataset) -> CellDiagram {
     let _scan = crate::span!("scanning.recurrence", dataset.len() as u64);
     let grid = CellGrid::new(dataset);
@@ -85,39 +85,43 @@ fn build_sequential(dataset: &Dataset) -> CellDiagram {
     let mut bits = BitsetInterner::new(words);
     let width = grid.nx() as usize + 1;
     let height = grid.ny() as usize + 1;
-    // Bitset ids double as cell results until the final id-for-id
-    // conversion; the empty set is id 0 on both sides.
-    let mut cells = vec![0u32; width * height];
-    let mut scratch = vec![0u64; words];
+    let mut cells = vec![ResultId(0); width * height];
+    // The blocks of row `j` and of the row above it, in two halves that
+    // swap roles every row. Both start empty, which is what the top row
+    // (j = ny) and the right column (i = nx) hold: their first quadrants
+    // contain no points, so no step writes them.
+    let stride = width * words;
+    let mut blocks = vec![0u64; 2 * stride];
 
-    // Top row (j = ny) and right column (i = nx) stay empty: their first
-    // quadrants contain no points. Scan the rest top-down, right-to-left.
+    // Scan the other rows top-down, each right to left.
     for j in (0..height - 1).rev() {
+        let (low, high) = blocks.split_at_mut(stride);
+        let (row, above) = if j % 2 == 0 { (low, high) } else { (high, low) };
         for i in (0..width - 1).rev() {
+            let (row, right) = row.split_at_mut((i + 1) * words);
+            let block = &mut row[i * words..];
             let corner = grid.points_at_corner(i as u32, j as u32);
-            let id = if !corner.is_empty() {
+            if !corner.is_empty() {
                 // A corner point dominates its entire open quadrant; only
                 // exact duplicates at the corner survive alongside it.
-                bits.intern_ids(corner.iter().copied())
+                block.fill(0);
+                for id in corner {
+                    let bit = id.0 as usize;
+                    block[bit / 64] |= 1u64 << (bit % 64);
+                }
             } else {
-                let right = cells[j * width + i + 1];
-                let up = cells[(j + 1) * width + i];
-                let diag = cells[(j + 1) * width + i + 1];
                 scanning_combine_words(
-                    bits.get_words(right),
-                    bits.get_words(up),
-                    bits.get_words(diag),
-                    &mut scratch,
+                    &right[..words],
+                    &above[i * words..(i + 1) * words],
+                    &above[(i + 1) * words..(i + 2) * words],
+                    block,
                 );
-                bits.intern_words(&scratch)
-            };
-            cells[j * width + i] = id;
+            }
+            cells[j * width + i] = bits.intern(block);
         }
     }
 
-    let results = bits.to_result_interner();
-    let cells = cells.into_iter().map(crate::result_set::ResultId).collect();
-    CellDiagram::from_parts(grid, results, cells)
+    CellDiagram::from_parts(grid, bits.finish(), cells)
 }
 
 /// One row band's boundary snapshots, struct-of-arrays: `xranks[k]` pairs
@@ -160,7 +164,7 @@ fn build_parallel(dataset: &Dataset, cfg: &ParallelConfig) -> CellDiagram {
 
     let _stitch = crate::span!("scanning.stitch");
     let mut bits = BitsetInterner::new(words);
-    let mut cells = vec![bits.empty(); width * height];
+    let mut cells = vec![ResultId(0); width * height];
     for (j, row) in rows.iter().enumerate() {
         // Boundaries come back in descending x-rank order; replay them
         // ascending. Cells up to the first boundary share its snapshot,
@@ -168,16 +172,14 @@ fn build_parallel(dataset: &Dataset, cfg: &ParallelConfig) -> CellDiagram {
         let mut next = 0usize;
         for (k, &v) in row.xranks.iter().enumerate().rev() {
             let block = &row.blocks[k * words..(k + 1) * words];
-            let id = bits.intern_words(block);
+            let id = bits.intern(block);
             for cell in &mut cells[j * width + next..=j * width + v as usize] {
                 *cell = id;
             }
             next = v as usize + 1;
         }
     }
-    let results = bits.to_result_interner();
-    let cells = cells.into_iter().map(crate::result_set::ResultId).collect();
-    CellDiagram::from_parts(grid, results, cells)
+    CellDiagram::from_parts(grid, bits.finish(), cells)
 }
 
 /// One row band: sweep the shared descending-x order, keep the staircase of
@@ -245,20 +247,31 @@ mod tests {
     use super::*;
     use crate::quadrant::baseline;
 
+    /// The paper's recurrence and the row-band formulation, whatever the
+    /// host's width (`build` picks one from `SKYLINE_THREADS`).
+    fn both_paths(ds: &Dataset) -> [CellDiagram; 2] {
+        [
+            build_with(ds, &ParallelConfig::sequential()),
+            build_with(ds, &ParallelConfig::with_threads(2)),
+        ]
+    }
+
     #[test]
     fn matches_baseline_on_hotel_example() {
         let ds = crate::test_data::hotel_dataset();
-        assert!(build(&ds).same_results(&baseline::build(&ds)));
+        for d in both_paths(&ds) {
+            assert!(d.same_results(&baseline::build(&ds)));
+        }
     }
 
     #[test]
     fn matches_baseline_on_random_data() {
         for seed in 0..5 {
             let ds = crate::test_data::lcg_dataset(40, 1000, seed);
-            assert!(
-                build(&ds).same_results(&baseline::build(&ds)),
-                "seed {seed}"
-            );
+            let reference = baseline::build(&ds);
+            for d in both_paths(&ds) {
+                assert!(d.same_results(&reference), "seed {seed}");
+            }
         }
     }
 
@@ -266,10 +279,10 @@ mod tests {
     fn matches_baseline_under_heavy_ties() {
         for seed in 0..5 {
             let ds = crate::test_data::lcg_dataset(40, 6, 200 + seed);
-            assert!(
-                build(&ds).same_results(&baseline::build(&ds)),
-                "seed {seed}"
-            );
+            let reference = baseline::build(&ds);
+            for d in both_paths(&ds) {
+                assert!(d.same_results(&reference), "seed {seed}");
+            }
         }
     }
 
@@ -281,12 +294,13 @@ mod tests {
         // {a} ⊎ {b} ∖ {d} with d at multiplicity -1. The clamped recurrence
         // must produce exactly {a, b}.
         let ds = Dataset::from_coords([(10, 0), (0, 10), (20, 20)]).unwrap();
-        let d = build(&ds);
-        assert_eq!(d.result((0, 0)), &[PointId(0), PointId(1)]);
-        assert_eq!(d.result((1, 0)), &[PointId(0)]);
-        assert_eq!(d.result((0, 1)), &[PointId(1)]);
-        assert_eq!(d.result((1, 1)), &[PointId(2)]);
-        assert!(build(&ds).same_results(&baseline::build(&ds)));
+        for d in both_paths(&ds) {
+            assert_eq!(d.result((0, 0)), &[PointId(0), PointId(1)]);
+            assert_eq!(d.result((1, 0)), &[PointId(0)]);
+            assert_eq!(d.result((0, 1)), &[PointId(1)]);
+            assert_eq!(d.result((1, 1)), &[PointId(2)]);
+            assert!(d.same_results(&baseline::build(&ds)));
+        }
     }
 
     #[test]
@@ -322,7 +336,10 @@ mod tests {
         for n in [63, 64, 65] {
             let ds = crate::test_data::lcg_dataset(n, 500, 77);
             let reference = baseline::build(&ds);
-            assert!(build(&ds).same_results(&reference), "n = {n}");
+            assert!(
+                build_with(&ds, &ParallelConfig::sequential()).same_results(&reference),
+                "n = {n}"
+            );
             assert!(
                 build_with(&ds, &ParallelConfig::with_threads(4)).same_results(&reference),
                 "n = {n} parallel"
@@ -333,19 +350,21 @@ mod tests {
     #[test]
     fn corner_cells_hold_their_point() {
         let ds = crate::test_data::hotel_dataset();
-        let d = build(&ds);
-        let grid = d.grid();
-        for (id, _) in ds.iter() {
-            let (rx, ry) = (grid.xrank(id), grid.yrank(id));
-            assert_eq!(d.result((rx, ry)), &[id], "cell cornered by {id}");
+        for d in both_paths(&ds) {
+            let grid = d.grid();
+            for (id, _) in ds.iter() {
+                let (rx, ry) = (grid.xrank(id), grid.yrank(id));
+                assert_eq!(d.result((rx, ry)), &[id], "cell cornered by {id}");
+            }
         }
     }
 
     #[test]
     fn duplicate_corner_points_survive_together() {
         let ds = Dataset::from_coords([(5, 5), (5, 5), (9, 9)]).unwrap();
-        let d = build(&ds);
-        assert_eq!(d.result((0, 0)), &[PointId(0), PointId(1)]);
-        assert!(build(&ds).same_results(&baseline::build(&ds)));
+        for d in both_paths(&ds) {
+            assert_eq!(d.result((0, 0)), &[PointId(0), PointId(1)]);
+            assert!(d.same_results(&baseline::build(&ds)));
+        }
     }
 }

@@ -10,23 +10,21 @@
 //!
 //! # Storage layout
 //!
-//! Both interners are struct-of-arrays arenas: the distinct sets live in one
-//! flat buffer with a parallel end-offset array, so result `k` is a slice of
-//! the arena rather than its own heap allocation (see DESIGN.md §10).
+//! Results are stored in one struct-of-arrays arena: the distinct sets live
+//! in one flat buffer of strictly sorted `PointId` runs with a parallel
+//! end-offset array, so result `k` is a slice of the arena rather than its
+//! own heap allocation (see DESIGN.md §10). [`ResultInterner`] is that
+//! arena — the query-facing representation (`get` hands out slices, the
+//! container streams the arena).
 //!
-//! * [`ResultInterner`] stores each distinct result as a strictly sorted
-//!   `PointId` run inside one flat arena — the query-facing representation
-//!   (`get` hands out slices, serialization streams the arena).
-//! * [`BitsetInterner`] stores each distinct result as a fixed-stride block
-//!   of `u64` words, one bit per point id. The diagram recurrences become
-//!   word-parallel: unions are `OR` over blocks and the scanning recurrence
-//!   of Theorem 1 is three bitwise operations per word (see
-//!   [`scanning_combine_words`]). The scanning and dynamic builders
-//!   accumulate cells against the bitset arena and convert once,
-//!   id-for-id, via [`BitsetInterner::to_result_interner`]; the global
-//!   union interns its blocks through `BlockInterner`, which keeps them
-//!   only in sorted-id form. Either way callers and the
-//!   container/snapshot layers see the sorted-id representation unchanged.
+//! The builders compute results as fixed-stride blocks of `u64` words, one
+//! bit per point id, so the diagram recurrences are word-parallel: unions
+//! are `OR` over blocks and the scanning recurrence of Theorem 1 is three
+//! bitwise operations per word (see [`scanning_combine_words`]).
+//! [`BitsetInterner`] interns such blocks straight into a
+//! [`ResultInterner`] arena: it looks a block up by its words, and decodes
+//! it into sorted ids only when it is new. No bitset copy of the results is
+//! kept.
 //!
 //! [`BitRuns`] is the one run-collapsed per-worker buffer, replayed into a
 //! [`BitsetInterner`] by the deterministic single-threaded stitch; the
@@ -162,18 +160,6 @@ impl ResultInterner {
         };
         let empty = interner.intern_slice(&[]);
         debug_assert_eq!(empty, ResultId(0));
-        interner
-    }
-
-    /// Creates an interner with arena capacity reserved for `sets` distinct
-    /// results totalling `total_ids` point ids — the deserializer knows both
-    /// up front.
-    pub fn with_capacity(sets: usize, total_ids: usize) -> Self {
-        let mut interner = ResultInterner::new();
-        interner.ends.reserve(sets);
-        interner.lookup.heads.reserve(sets);
-        interner.lookup.next.reserve(sets);
-        interner.flat.reserve(total_ids);
         interner
     }
 
@@ -600,167 +586,30 @@ pub fn scanning_combine_words(right: &[u64], up: &[u64], diag: &[u64], out: &mut
     }
 }
 
-/// Deduplicating store of skyline results as fixed-stride bitset blocks.
+/// Deduplicating store of skyline results, looked up by bitset block and
+/// stored as sorted ids.
 ///
-/// The builders' working representation: each distinct result is `words`
-/// consecutive `u64`s in one flat arena (bit `i` set ⇔ `PointId(i)` in the
-/// result), so the diagram recurrences run word-parallel and interning hashes
-/// a fixed-size block instead of a variable-length id list. Ids are dense and
-/// assigned in first-occurrence order, with the empty set pre-interned as
-/// id 0 — exactly the [`ResultInterner`] contract, which is what makes the
-/// final [`BitsetInterner::to_result_interner`] conversion id-for-id.
-#[derive(Clone, Debug)]
-pub struct BitsetInterner {
-    /// Block stride in words.
-    words: usize,
-    /// Concatenated blocks of every distinct result, in interning order.
-    flat: Vec<u64>,
-    lookup: HashChains,
-    /// Reusable block for `intern_ids`.
-    scratch: Vec<u64>,
-}
-
-impl BitsetInterner {
-    /// Creates a bitset interner with the given block stride and the empty
-    /// set pre-interned as id 0.
-    pub fn new(words: usize) -> Self {
-        let words = words.max(1);
-        let mut interner = BitsetInterner {
-            words,
-            flat: Vec::new(),
-            lookup: HashChains::default(),
-            scratch: vec![0u64; words],
-        };
-        let zeros = vec![0u64; words];
-        let empty = interner.intern_words(&zeros);
-        debug_assert_eq!(empty, 0);
-        interner
-    }
-
-    /// The block stride in words.
-    #[inline]
-    pub fn words(&self) -> usize {
-        self.words
-    }
-
-    /// The id of the empty result.
-    #[inline]
-    pub fn empty(&self) -> u32 {
-        0
-    }
-
-    /// Number of distinct interned results (including the empty one).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.flat.len() / self.words
-    }
-
-    /// Whether only the empty result has been interned.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() <= 1
-    }
-
-    /// Heap bytes owned by the arena: the flat block buffer, the scratch
-    /// block, and the lookup's head table (estimated) and chain links.
-    pub fn heap_bytes(&self) -> usize {
-        use crate::telemetry::mem::vec_heap_bytes;
-        vec_heap_bytes(&self.flat) + vec_heap_bytes(&self.scratch) + self.lookup.heap_bytes()
-    }
-
-    /// The bitset block of an interned result.
-    #[inline]
-    pub fn get_words(&self, id: u32) -> &[u64] {
-        let start = id as usize * self.words;
-        &self.flat[start..start + self.words]
-    }
-
-    /// Interns a bitset block, copying into the arena only when the set was
-    /// not seen before.
-    ///
-    /// # Panics
-    /// Debug builds assert the stride precondition.
-    pub fn intern_words(&mut self, block: &[u64]) -> u32 {
-        debug_assert_eq!(block.len(), self.words, "block stride mismatch");
-        let h = fnv1a_words(block);
-        if let Some(id) = self.lookup.find(h, |id| self.get_words(id) == block) {
-            return id;
-        }
-        let id = (self.flat.len() / self.words) as u32;
-        self.flat.extend_from_slice(block);
-        self.lookup.push(h, id);
-        id
-    }
-
-    /// Interns the set of the given point ids (any order, duplicates
-    /// collapse) by setting their bits in an internal scratch block.
-    pub fn intern_ids<I: IntoIterator<Item = PointId>>(&mut self, ids: I) -> u32 {
-        let mut block = std::mem::take(&mut self.scratch);
-        block.iter_mut().for_each(|w| *w = 0);
-        for id in ids {
-            let bit = id.0 as usize;
-            debug_assert!(bit / 64 < block.len(), "point id out of bitset range");
-            block[bit / 64] |= 1u64 << (bit % 64);
-        }
-        let interned = self.intern_words(&block);
-        self.scratch = block;
-        interned
-    }
-
-    /// Decodes an interned block back to its strictly sorted id list.
-    pub fn decode_into(&self, id: u32, out: &mut Vec<PointId>) {
-        out.clear();
-        decode_words(self.get_words(id), out);
-    }
-
-    /// Converts the whole arena to the sorted-id representation, id-for-id:
-    /// bitset id `k` becomes [`ResultId`]`(k)`. Builders accumulate their
-    /// per-cell ids against this interner and hand the converted interner
-    /// plus the unmodified cell vector to the diagram, so the query,
-    /// container, and snapshot layers keep seeing sorted-id slices.
-    ///
-    /// The blocks are distinct by construction, so they decode straight
-    /// into the CSR arrays (sized exactly) with no lookup table: the result
-    /// is read-only, the state a published diagram holds (see
-    /// [`ResultInterner::to_readonly`]).
-    pub fn to_result_interner(&self) -> ResultInterner {
-        let _decode = crate::span!("intern.decode", self.len() as u64);
-        let total: usize = self.flat.iter().map(|w| w.count_ones() as usize).sum();
-        let mut flat = Vec::with_capacity(total);
-        let mut ends = Vec::with_capacity(self.len());
-        for block in self.flat.chunks_exact(self.words) {
-            decode_words(block, &mut flat);
-            ends.push(flat.len() as u32);
-        }
-        ResultInterner {
-            flat,
-            ends,
-            lookup: HashChains::default(),
-        }
-    }
-}
-
-/// Interns bitset blocks straight into a sorted-id CSR arena, for a
-/// builder whose blocks are computed, never looked up again as blocks.
-///
-/// Lookup works as in [`BitsetInterner`] — an FNV-1a hash of the block's
-/// words, confirmed by comparison — but a candidate is compared in its
-/// sorted-id form: equal length (the block's popcount) and every id's bit
-/// set. Only new results are decoded, straight into the arena, so no
-/// bitset copy of the results is kept. Ids are dense in first-occurrence
+/// The builders' interner: each cell's result arrives as a fixed-stride
+/// block of `u64` words (bit `i` set ⇔ `PointId(i)` in the result), so a
+/// lookup hashes a fixed-size block (FNV-1a over its words) instead of a
+/// variable-length id list. A candidate with an equal hash is compared in
+/// its sorted-id form: equal length (the block's popcount) and every id's
+/// bit set. Only a new result is decoded, straight into the CSR arena, so
+/// no bitset copy of the results is kept. Ids are dense in first-occurrence
 /// order with the empty set as id 0, the [`ResultInterner`] contract, and
-/// [`BlockInterner::finish`] hands the arena over without a copy.
+/// [`BitsetInterner::finish`] hands the arena over without a copy.
 #[derive(Debug)]
-pub(crate) struct BlockInterner {
+pub struct BitsetInterner {
     flat: Vec<PointId>,
     ends: Vec<u32>,
     lookup: HashChains,
 }
 
-impl BlockInterner {
-    /// An interner with the empty set pre-interned as id 0.
-    pub(crate) fn new(words: usize) -> Self {
-        let mut interner = BlockInterner {
+impl BitsetInterner {
+    /// An interner for blocks of `words` words (at least one), with the
+    /// empty set pre-interned as id 0.
+    pub fn new(words: usize) -> Self {
+        let mut interner = BitsetInterner {
             flat: Vec::new(),
             ends: Vec::new(),
             lookup: HashChains::default(),
@@ -771,7 +620,7 @@ impl BlockInterner {
     }
 
     /// The id of the set whose bits are `block`, interning it if new.
-    pub(crate) fn intern(&mut self, block: &[u64]) -> ResultId {
+    pub fn intern(&mut self, block: &[u64]) -> ResultId {
         let h = fnv1a_words(block);
         let len: u32 = block.iter().map(|w| w.count_ones()).sum();
         let (flat, ends) = (&self.flat, &self.ends);
@@ -795,8 +644,9 @@ impl BlockInterner {
         ResultId(k)
     }
 
-    /// The arena as a read-only [`ResultInterner`], trimmed to its length.
-    pub(crate) fn finish(self) -> ResultInterner {
+    /// The arena as a read-only [`ResultInterner`], trimmed to its length:
+    /// id `k` of this interner is [`ResultId`]`(k)` there.
+    pub fn finish(self) -> ResultInterner {
         let (mut flat, mut ends) = (self.flat, self.ends);
         flat.shrink_to_fit();
         ends.shrink_to_fit();
@@ -941,13 +791,12 @@ impl BitRuns {
     }
 
     /// Replays the runs into `bits`, appending one [`ResultId`] per cell to
-    /// `cells` in emission order. The ids are bitset ids, valid against the
-    /// [`ResultInterner`] produced by
-    /// [`BitsetInterner::to_result_interner`].
+    /// `cells` in emission order. The ids are valid against the
+    /// [`ResultInterner`] that [`BitsetInterner::finish`] returns.
     pub fn intern_into(&self, bits: &mut BitsetInterner, cells: &mut Vec<ResultId>) {
         for (block, count) in self.runs() {
-            let id = bits.intern_words(block);
-            cells.extend(std::iter::repeat(ResultId(id)).take(count as usize));
+            let id = bits.intern(block);
+            cells.extend(std::iter::repeat(id).take(count as usize));
         }
     }
 }
@@ -958,6 +807,15 @@ mod tests {
 
     fn ids(v: &[u32]) -> Vec<PointId> {
         v.iter().copied().map(PointId).collect()
+    }
+
+    /// The `words`-word bitset block of the given point ids.
+    fn block(words: usize, v: &[u32]) -> Vec<u64> {
+        let mut block = vec![0u64; words];
+        for &bit in v {
+            block[bit as usize / 64] |= 1u64 << (bit % 64);
+        }
+        block
     }
 
     #[test]
@@ -988,14 +846,6 @@ mod tests {
         let mut interner = ResultInterner::new();
         let a = interner.intern_unsorted(ids(&[5, 1, 2, 2, 5]));
         assert_eq!(interner.get(a), ids(&[1, 2, 5]).as_slice());
-    }
-
-    #[test]
-    fn with_capacity_matches_new() {
-        let mut a = ResultInterner::with_capacity(10, 100);
-        let mut b = ResultInterner::new();
-        assert_eq!(a.intern_sorted(ids(&[3, 4])), b.intern_sorted(ids(&[3, 4])));
-        assert_eq!(a.empty(), b.empty());
     }
 
     #[test]
@@ -1056,22 +906,20 @@ mod tests {
 
     #[test]
     fn bitset_interner_dedups_and_decodes() {
-        let mut bits = BitsetInterner::new(words_for(70));
-        assert_eq!(bits.words(), 2);
-        assert_eq!(bits.empty(), 0);
-        assert!(bits.is_empty());
-        let a = bits.intern_ids(ids(&[1, 64, 69]));
-        let b = bits.intern_ids(ids(&[69, 1, 64, 1])); // order/dup-insensitive
-        let c = bits.intern_ids(ids(&[2]));
+        let words = words_for(70);
+        assert_eq!(words, 2);
+        let mut bits = BitsetInterner::new(words);
+        assert_eq!(bits.intern(&[0, 0]), ResultId(0));
+        let a = bits.intern(&block(words, &[1, 64, 69]));
+        let b = bits.intern(&block(words, &[69, 1, 64, 1])); // order/dup-insensitive
+        let c = bits.intern(&block(words, &[2]));
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(bits.len(), 3);
-        assert!(!bits.is_empty());
-        let mut out = Vec::new();
-        bits.decode_into(a, &mut out);
-        assert_eq!(out, ids(&[1, 64, 69]));
-        bits.decode_into(bits.empty(), &mut out);
-        assert!(out.is_empty());
+        let results = bits.finish();
+        assert_eq!(results.len(), 3);
+        assert_eq!(results.get(a), ids(&[1, 64, 69]).as_slice());
+        assert_eq!(results.get(c), ids(&[2]).as_slice());
+        assert!(results.get(ResultId(0)).is_empty());
     }
 
     #[test]
@@ -1088,25 +936,19 @@ mod tests {
         assert_eq!(fnv1a_words(&a), fnv1a_words(&b));
 
         let mut bits = BitsetInterner::new(2);
-        let ia = bits.intern_words(&a);
-        let ib = bits.intern_words(&b);
+        let ia = bits.intern(&a);
+        let ib = bits.intern(&b);
         assert_ne!(ia, ib);
-        assert_eq!(bits.intern_words(&a), ia);
-        assert_eq!(bits.intern_words(&b), ib);
-        assert_eq!(bits.len(), 3);
-        assert_eq!(bits.get_words(ia), a);
-        assert_eq!(bits.get_words(ib), b);
-        // The CSR-backed interner resolves the same collision, id for id.
-        let mut csr = BlockInterner::new(2);
-        assert_eq!(csr.intern(&a).0, ia);
-        assert_eq!(csr.intern(&b).0, ib);
-        assert_eq!(csr.intern(&a).0, ia);
-        assert_eq!(csr.intern(&[0, 0]), ResultId(0));
-        let csr = csr.finish();
-        let converted = bits.to_result_interner();
-        assert_eq!(csr.len(), 3);
-        for id in [0, ia, ib] {
-            assert_eq!(csr.get(ResultId(id)), converted.get(ResultId(id)));
+        assert_eq!(bits.intern(&a), ia);
+        assert_eq!(bits.intern(&b), ib);
+        assert_eq!(bits.intern(&[0, 0]), ResultId(0));
+        let results = bits.finish();
+        assert_eq!(results.len(), 3);
+        let mut want = Vec::new();
+        for (id, block) in [(ia, a), (ib, b)] {
+            want.clear();
+            decode_words(&block, &mut want);
+            assert_eq!(results.get(id), want.as_slice());
         }
     }
 
@@ -1142,14 +984,20 @@ mod tests {
     }
 
     #[test]
-    fn bitset_converts_to_result_interner_id_for_id() {
-        let mut bits = BitsetInterner::new(words_for(100));
-        let a = bits.intern_ids(ids(&[0, 63, 64, 99]));
-        let b = bits.intern_ids(ids(&[5]));
-        let results = bits.to_result_interner();
-        assert_eq!(results.len(), bits.len());
-        assert_eq!(results.get(ResultId(a)), ids(&[0, 63, 64, 99]).as_slice());
-        assert_eq!(results.get(ResultId(b)), ids(&[5]).as_slice());
+    fn bitset_interner_finishes_id_for_id() {
+        let words = words_for(100);
+        let sets: [&[u32]; 4] = [&[0, 63, 64, 99], &[5], &[0, 63, 64, 99], &[]];
+        let mut bits = BitsetInterner::new(words);
+        let mut sorted = ResultInterner::new();
+        for set in sets {
+            assert_eq!(
+                bits.intern(&block(words, set)),
+                sorted.intern_slice(&ids(set))
+            );
+        }
+        let results = bits.finish();
+        assert_eq!(results.ends(), sorted.ends());
+        assert_eq!(results.flat_ids(), sorted.flat_ids());
         assert_eq!(results.empty(), ResultId(0));
     }
 
@@ -1174,25 +1022,19 @@ mod tests {
     #[test]
     fn word_ops_match_sorted_ops() {
         let words = words_for(130);
-        let mut bits = BitsetInterner::new(words);
-        let r = bits.intern_ids(ids(&[1, 63, 64, 129]));
-        let u = bits.intern_ids(ids(&[2, 63, 129]));
-        let d = bits.intern_ids(ids(&[63, 100, 129]));
+        let r = block(words, &[1, 63, 64, 129]);
+        let u = block(words, &[2, 63, 129]);
+        let d = block(words, &[63, 100, 129]);
 
         let mut out = vec![0u64; words];
-        union_words(bits.get_words(r), bits.get_words(u), &mut out);
+        union_words(&r, &u, &mut out);
         let mut got = Vec::new();
         decode_words(&out, &mut got);
         let mut want = Vec::new();
         union_sorted(&ids(&[1, 63, 64, 129]), &ids(&[2, 63, 129]), &mut want);
         assert_eq!(got, want);
 
-        scanning_combine_words(
-            bits.get_words(r),
-            bits.get_words(u),
-            bits.get_words(d),
-            &mut out,
-        );
+        scanning_combine_words(&r, &u, &d, &mut out);
         got.clear();
         decode_words(&out, &mut got);
         scanning_combine(
@@ -1203,13 +1045,7 @@ mod tests {
         );
         assert_eq!(got, want);
 
-        union4_words(
-            bits.get_words(r),
-            bits.get_words(u),
-            bits.get_words(d),
-            bits.get_words(bits.empty()),
-            &mut out,
-        );
+        union4_words(&r, &u, &d, &vec![0u64; words], &mut out);
         got.clear();
         decode_words(&out, &mut got);
         assert_eq!(got, ids(&[1, 2, 63, 64, 100, 129]));
@@ -1218,30 +1054,59 @@ mod tests {
     #[test]
     fn bit_runs_collapse_and_replay() {
         let words = words_for(10);
-        let mut bits = BitsetInterner::new(words);
-        let a = bits.intern_ids(ids(&[1, 2]));
-        let b = bits.intern_ids(ids(&[3]));
+        let (a, b) = (block(words, &[1, 2]), block(words, &[3]));
 
         let mut runs = BitRuns::new(words);
         assert!(runs.is_empty());
         assert_eq!(runs.words(), words);
-        runs.push_words(bits.get_words(a).to_vec().as_slice());
-        runs.push_words(bits.get_words(a).to_vec().as_slice()); // collapses
-        runs.push_words(bits.get_words(b).to_vec().as_slice());
+        runs.push_words(&a);
+        runs.push_words(&a); // collapses
+        runs.push_words(&b);
         runs.push_repeat(2);
-        runs.push_words(bits.get_words(0).to_vec().as_slice());
+        runs.push_words(&block(words, &[]));
         assert_eq!(runs.cells(), 6);
+        assert_eq!(runs.runs().count(), 3);
 
+        let mut bits = BitsetInterner::new(words);
         let mut cells = Vec::new();
         runs.intern_into(&mut bits, &mut cells);
         assert_eq!(cells.len(), 6);
-        assert_eq!(cells[0], ResultId(a));
         assert_eq!(cells[0], cells[1]);
-        assert_eq!(cells[2], ResultId(b));
+        assert_ne!(cells[0], cells[2]);
         assert_eq!(cells[2], cells[4]);
         assert_eq!(cells[5], ResultId(0));
-        let results = bits.to_result_interner();
+        let results = bits.finish();
         assert_eq!(results.get(cells[0]), ids(&[1, 2]).as_slice());
+        assert_eq!(results.get(cells[2]), ids(&[3]).as_slice());
         assert_eq!(results.get(cells[5]), ids(&[]).as_slice());
+    }
+
+    #[test]
+    fn bit_runs_replay_matches_per_cell_interning() {
+        // Two rows of cells over a few sets near the word boundary, with
+        // repeats inside a row, across rows, and at a row's start; runs
+        // collapse only within a row, as each worker writes its own.
+        let words = words_for(65);
+        let sets: [&[u32]; 4] = [&[0, 64], &[63], &[], &[1, 63, 64]];
+        let rows: [&[usize]; 2] = [&[0, 0, 1, 1, 1, 2, 0, 3, 3], &[3, 3, 2, 2, 0, 1]];
+
+        let mut per_cell = BitsetInterner::new(words);
+        let mut want = Vec::new();
+        let mut replayed = BitsetInterner::new(words);
+        let mut got = Vec::new();
+        for row in rows {
+            let mut runs = BitRuns::new(words);
+            for &k in row {
+                let set = block(words, sets[k]);
+                want.push(per_cell.intern(&set));
+                runs.push_words(&set);
+            }
+            assert!(runs.runs().count() < row.len());
+            runs.intern_into(&mut replayed, &mut got);
+        }
+        assert_eq!(got, want);
+        let (want, got) = (per_cell.finish(), replayed.finish());
+        assert_eq!(got.ends(), want.ends());
+        assert_eq!(got.flat_ids(), want.flat_ids());
     }
 }

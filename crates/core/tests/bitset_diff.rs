@@ -92,41 +92,34 @@ proptest! {
 
     #[test]
     fn bitset_interner_round_trips_id_for_id(
-        (n, sets) in boundary_n().prop_flat_map(|n| {
-            (Just(n), proptest::collection::vec(arb_ids(n), 0..8))
+        (n, sets, order) in boundary_n().prop_flat_map(|n| {
+            (
+                Just(n),
+                proptest::collection::vec(arb_ids(n), 1..6),
+                proptest::collection::vec(0usize..6, 0..16),
+            )
         })
     ) {
-        // Iterate: interning through the bitset arena and converting back
-        // must reproduce the sorted-id interner exactly, id-for-id, with
-        // every duplicate set collapsing to the same id in both.
+        // Interning a sequence of sets as blocks must number them exactly as
+        // the sorted-id interner does, with every repeat collapsing to its
+        // first id, and finish into the same CSR arrays.
         let words = words_for(n as usize);
         let mut bits = BitsetInterner::new(words);
         let mut sorted = ResultInterner::new();
-        for ids in &sets {
-            let bid = bits.intern_ids(ids.iter().copied());
+        for k in order {
+            let ids = &sets[k % sets.len()];
             let rid = sorted.intern_slice(ids);
-            prop_assert_eq!(bid, rid.0);
+            prop_assert_eq!(bits.intern(&to_block(ids, words)), rid);
         }
-        let converted = bits.to_result_interner();
-        prop_assert_eq!(converted.len(), sorted.len());
-        for (rid, ids) in sorted.iter() {
-            prop_assert_eq!(converted.get(rid), ids);
-        }
-        // The CSR-direct conversion equals re-interning every decoded
-        // block in id order: same ids, same arrays.
-        let mut reinterned = ResultInterner::new();
-        let mut decoded = Vec::new();
-        for k in 0..bits.len() as u32 {
-            bits.decode_into(k, &mut decoded);
-            prop_assert_eq!(reinterned.intern_slice(&decoded).0, k);
-        }
-        prop_assert_eq!(converted.ends(), reinterned.ends());
-        prop_assert_eq!(converted.flat_ids(), reinterned.flat_ids());
-        // encode_results is the inverse of the conversion.
-        let arena = encode_results(&converted, words);
-        for (rid, ids) in sorted.iter() {
+        let finished = bits.finish();
+        prop_assert_eq!(finished.ends(), sorted.ends());
+        prop_assert_eq!(finished.flat_ids(), sorted.flat_ids());
+        // encode_results is the inverse of the interning.
+        let arena = encode_results(&finished, words);
+        prop_assert_eq!(arena.len(), finished.len() * words);
+        for (rid, ids) in finished.iter() {
             let block = &arena[rid.0 as usize * words..(rid.0 as usize + 1) * words];
-            prop_assert_eq!(to_ids(block), ids.to_vec());
+            prop_assert_eq!(block, to_block(ids, words).as_slice());
         }
     }
 

@@ -43,9 +43,14 @@ const READ_PATH_SCOPE: &[&str] = &[
 /// genuinely jagged shape, not cell storage. The planar dynamic engines
 /// and their subcell grid are in scope: with `O(n⁴)` subcells, a per-subcell
 /// or per-line `Vec` is the costliest form of the regression. So is the
-/// local repair, which rewrites whole result arenas on every publish.
+/// local repair, which rewrites whole result arenas on every publish, and
+/// so are the global union and the scanning and sweeping quadrant engines,
+/// which carry their working results as rows of bitset blocks.
 const ARENA_SCOPE: &[&str] = &[
     "crates/core/src/container.rs",
+    "crates/core/src/global.rs",
+    "crates/core/src/quadrant/scanning.rs",
+    "crates/core/src/quadrant/sweeping.rs",
     "crates/core/src/result_set.rs",
     "crates/core/src/diagram/cell_diagram.rs",
     "crates/core/src/diagram/diff.rs",
