@@ -13,12 +13,19 @@
 //! cargo run -p skyline-bench --release --bin experiments -- \
 //!     e15 --profile smoke --json BENCH_PR10.json --gate             # memory
 //! ```
+//!
+//! `--gate` checks the rows of [`skyline_bench::gate::TABLE`] that the
+//! selected experiments arm, with one evaluator, and reports every
+//! violation before exiting 1.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use skyline_bench::gate;
 use skyline_bench::json::{render_records, BenchRecord};
-use skyline_bench::quantile::{percentile, slo_violations, SloSpec, PERCENTILE_LABELS};
-use skyline_bench::{domain_dataset, fmt_ms, highd_dataset, sweep_dataset, time_ms, time_stats};
+use skyline_bench::quantile::{percentile, PERCENTILE_LABELS};
+use skyline_bench::{
+    domain_dataset, fmt_ms, highd_dataset, sweep_dataset, time_interleaved, time_ms, time_stats,
+};
 use skyline_core::diagram::merge::{merge, quadrant_partition};
 use skyline_core::dsg::DirectedSkylineGraph;
 use skyline_core::dynamic::{self, DynamicEngine};
@@ -39,89 +46,20 @@ Usage: experiments [EXPERIMENT...] [--profile smoke|full] [--json PATH] [--gate]
                    'smoke' (CI-sized)
   --json PATH      write the machine-readable bench records collected this run
                    (the BENCH_PR3.json schema) to PATH
-  --gate           check every guard armed by the selected experiments and
-                   report ALL violations before exiting 1: the 1.25x parallel
-                   regression guard (e11/e12/e13), the telemetry overhead
-                   guard (--telemetry), and the E13 open-loop SLO bounds
-                   (lanes = 0 rows vs the committed per-family p99/p999
-                   budgets), the E14 cold-start floor (container load
-                   must beat rebuild-from-points by 10x at n >= 400), and the
-                   E15 memory guards (t=4 peak bytes within 1.25x of t=0,
-                   retained bytes-per-cell under the absolute budget)
-  --gate-ratio X   override the parallel regression ratio (default 1.25);
-                   mainly a testing aid for the gate pipeline itself
-  --gate-floor-ms X  absolute-time floor for the regression and efficiency
-                   guards (default 5): a comparison where both sides ran
-                   under X ms is exempt, because sub-floor records measure
-                   scheduler noise on shared CI hosts, not the code
-  --efficiency-ratio X  override every per-record t4/t1 efficiency threshold
-                   (see the E11 efficiency guard); mainly a testing aid
-  --slo-scale X    scale every E13 SLO bound by X (default 1.0); X = 0 makes
-                   every bound fail, which the CLI tests use
+  --gate           check every bound the selected experiments arm and report
+                   ALL violations before exiting 1: the 1.25x parallel
+                   regression ratio and, on e11, the t4/t1 efficiency
+                   grades (pairs with both legs under 5 ms are exempt), the
+                   E13 open-loop SLOs on lanes = 0 rows, the E14 cold-start
+                   floor (container load >= 10x faster than rebuild at
+                   n >= 400), and the E15 memory bounds (t=4 peak bytes
+                   within 1.25x of t=0, retained bytes per cell <= 128)
   --telemetry      capture the telemetry metrics registry around every
                    e11/e12/e13 configuration and embed the counter readings in
-                   the JSON records; with --gate, additionally fail if a
-                   recording-on run regresses more than 5% (+0.5 ms slack)
-                   over a recording-off run of the same configuration on this
-                   host";
-
-/// Allowed gated slowdown of any parallel configuration relative to its own
-/// sequential run (same host, same invocation).
-const GATE_RATIO: f64 = 1.25;
-
-/// Absolute-time floor for the regression and efficiency guards: when both
-/// sides of a comparison ran under this many milliseconds, the comparison is
-/// skipped. Sub-floor records (e.g. dynamic/subset n=10 at ~1 ms) measure
-/// scheduler noise on shared 1-core CI hosts, not the code — the PR 7 smoke
-/// flake came from exactly such a record.
-const GATE_FLOOR_MS: f64 = 5.0;
-
-/// Required t=4 over t=1 speedup on wide hosts (>= 4 hardware threads) for
-/// the large global configurations — the scaling cliff this PR removes must
-/// never silently return.
-const EFFICIENCY_WIDE_GLOBAL: f64 = 2.0;
-
-/// Baseline t4/t1 threshold on wide hosts for every other record: t=4 must
-/// at least not lose to t=1.
-const EFFICIENCY_WIDE_DEFAULT: f64 = 1.0;
-
-/// t4/t1 threshold on narrow hosts (< 4 hardware threads), where physical
-/// speedup is impossible and 4 workers time-slice one core: t=4 may pay a
-/// bounded oversubscription tax but must not collapse.
-const EFFICIENCY_NARROW: f64 = 0.8;
-
-/// Allowed slowdown of a recording-on run over a recording-off run of the
-/// same configuration (`--telemetry --gate`), plus an absolute slack so
-/// sub-millisecond configurations don't gate on scheduler noise.
-const TELEMETRY_OVERHEAD_RATIO: f64 = 1.05;
-const TELEMETRY_OVERHEAD_SLACK_MS: f64 = 0.5;
-
-/// Required speedup of a container load over a rebuild-from-points of the
-/// same index at `n >= 400` (`e14 --gate`): the zero-copy load path's whole
-/// reason to exist is to skip diagram construction, so it must beat the
-/// construction it skips by an order of magnitude.
-const COLD_START_RATIO: f64 = 10.0;
-
-/// Allowed growth of a t=4 build's peak-bytes delta over the t=0 build of
-/// the same E15 configuration (same host, same invocation): parallel
-/// workers hold per-band scratch, but the arena outputs dominate, so the
-/// working-set peak must stay near sequential.
-const MEM_PEAK_RATIO: f64 = 1.25;
-
-/// Peak-comparison floor for the E15 guard: pairs whose peak deltas are
-/// both under this many bytes measure allocator noise (thread-spawn
-/// scratch, registry nodes), not the diagram working set.
-const MEM_PEAK_FLOOR_BYTES: u64 = 1 << 20;
-
-/// Absolute E15 budget on retained arena bytes per diagram cell
-/// (`heap_bytes() / cells`). The measured worst case is the global
-/// diagram at ~90 B/cell (n = 800; the global interner rides on top of
-/// the shared cell table); quadrant sits near 33 and dynamic subcells
-/// under 12. The
-/// budget sits well above so real regressions (a nested `Vec` per cell,
-/// an un-shrunk scratch buffer) trip it while allocator rounding does
-/// not.
-const MEM_BYTES_PER_CELL_BUDGET: f64 = 128.0;
+                   the JSON records, and time each e11 configuration with
+                   span recording off and on, alternately; with --gate, a
+                   recording-on run may cost at most 5% (+0.5 ms) over
+                   its recording-off run";
 
 /// Dataset sizes for the E11 sweep: `Full` reproduces the committed
 /// `BENCH_PR3.json`; `Smoke` is small enough for a per-push CI job.
@@ -138,10 +76,6 @@ struct Options {
     profile: Profile,
     json_path: Option<String>,
     gate: bool,
-    gate_ratio: f64,
-    gate_floor_ms: f64,
-    efficiency_ratio: Option<f64>,
-    slo_scale: f64,
     telemetry: bool,
 }
 
@@ -156,22 +90,7 @@ impl Options {
             profile: Profile::Full,
             json_path: None,
             gate: false,
-            gate_ratio: GATE_RATIO,
-            gate_floor_ms: GATE_FLOOR_MS,
-            efficiency_ratio: None,
-            slo_scale: 1.0,
             telemetry: false,
-        };
-        let float_arg = |name: &str, value: Option<String>| -> Result<f64, String> {
-            let value = value.ok_or(format!("{name} needs a value"))?;
-            let parsed: f64 = value
-                .parse()
-                .map_err(|_| format!("{name} needs a number, got '{value}'"))?;
-            if parsed.is_finite() && parsed >= 0.0 {
-                Ok(parsed)
-            } else {
-                Err(format!("{name} must be a finite non-negative number"))
-            }
         };
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
@@ -189,14 +108,6 @@ impl Options {
                     opts.json_path = Some(args.next().ok_or("--json needs a path")?);
                 }
                 "--gate" => opts.gate = true,
-                "--gate-ratio" => opts.gate_ratio = float_arg("--gate-ratio", args.next())?,
-                "--gate-floor-ms" => {
-                    opts.gate_floor_ms = float_arg("--gate-floor-ms", args.next())?;
-                }
-                "--efficiency-ratio" => {
-                    opts.efficiency_ratio = Some(float_arg("--efficiency-ratio", args.next())?);
-                }
-                "--slo-scale" => opts.slo_scale = float_arg("--slo-scale", args.next())?,
                 "--telemetry" => opts.telemetry = true,
                 "--help" | "-h" => {
                     println!("{USAGE}");
@@ -270,15 +181,15 @@ fn main() {
     if want("e15") {
         records.extend(e15_memory(opts.profile));
     }
-    let overhead_violations = if opts.telemetry && (want("e11") || want("e12") || want("e13")) {
-        telemetry_overhead(opts.profile)
-    } else {
-        Vec::new()
-    };
+    // The passes that produced records, which arm the gate rows.
+    let mut ran: Vec<&str> = EXPERIMENT_NAMES.into_iter().filter(|e| want(e)).collect();
+    if opts.telemetry && (want("e11") || want("e12") || want("e13")) {
+        records.extend(telemetry_overhead(opts.profile));
+        ran.push("telemetry");
+    }
 
-    // Every guard below APPENDS to one failure list instead of exiting, so a
-    // single run reports every broken gate (JSON artifact, regression ratio,
-    // telemetry overhead, SLO bounds) rather than just the first.
+    // The artifact write and the gate append to one failure list, so a
+    // single run reports every failure rather than just the first.
     let mut failures: Vec<String> = Vec::new();
     if let Some(path) = &opts.json_path {
         match std::fs::write(path, render_records(&records)) {
@@ -287,62 +198,27 @@ fn main() {
         }
     }
     if opts.gate {
-        // The parallel-regression guard only makes sense when an experiment
-        // that produces threads > 0 records ran: an e14-only invocation
-        // collects exclusively sequential cold-start rows.
-        if want("e11") || want("e12") || want("e13") {
-            match gate_regressions(&records, opts.gate_ratio, opts.gate_floor_ms) {
-                Ok(checked) => {
-                    eprintln!(
-                        "gate: {checked} parallel configurations within {}x of sequential (floor {} ms)",
-                        opts.gate_ratio, opts.gate_floor_ms
-                    );
-                }
-                Err(violations) => failures.extend(violations),
+        let mut rows = Vec::new();
+        for row in gate::TABLE {
+            if !row.armed_by.iter().any(|e| ran.contains(e)) {
+                continue;
             }
-        }
-        if want("e11") {
-            match gate_efficiency(&records, opts.efficiency_ratio, opts.gate_floor_ms) {
-                Ok(checked) => {
-                    eprintln!("gate: {checked} t4/t1 efficiency thresholds met");
-                }
-                Err(violations) => failures.extend(violations),
+            if row.needs_allocator && !telemetry::mem::enabled() {
+                eprintln!("gate: {} skipped (mem-telemetry compiled out)", row.name);
+                continue;
             }
+            rows.push(*row);
         }
-        if opts.telemetry && overhead_violations.is_empty() {
-            eprintln!(
-                "gate: telemetry overhead within {TELEMETRY_OVERHEAD_RATIO}x                  (+{TELEMETRY_OVERHEAD_SLACK_MS} ms) of recording-off"
-            );
-        }
-        failures.extend(overhead_violations);
-        if want("e13") {
-            match gate_slos(&records, opts.slo_scale) {
-                Ok(checked) => {
-                    eprintln!("gate: {checked} open-loop SLO bounds honored on lanes = 0 rows");
-                }
-                Err(violations) => failures.extend(violations),
+        let host_width = skyline_core::parallel::available_threads();
+        match gate::evaluate(&rows, &records, host_width) {
+            Ok(checked) => {
+                let names: Vec<&str> = rows.iter().map(|r| r.name).collect();
+                eprintln!(
+                    "gate: {checked} checks honored by {} on a {host_width}-thread host",
+                    names.join(", ")
+                );
             }
-        }
-        if want("e15") {
-            match gate_memory(&records) {
-                Ok(checked) => {
-                    eprintln!(
-                        "gate: {checked} memory bounds honored (peak within {MEM_PEAK_RATIO}x; \
-                         <= {MEM_BYTES_PER_CELL_BUDGET} B/cell)"
-                    );
-                }
-                Err(violations) => failures.extend(violations),
-            }
-        }
-        if want("e14") {
-            match gate_cold_start(&records, opts.gate_floor_ms) {
-                Ok(checked) => {
-                    eprintln!(
-                        "gate: {checked} cold-start configurations load >= {COLD_START_RATIO}x faster than rebuild"
-                    );
-                }
-                Err(violations) => failures.extend(violations),
-            }
+            Err(violations) => failures.extend(violations),
         }
     }
     if !failures.is_empty() {
@@ -371,275 +247,58 @@ fn metric_pairs() -> Vec<(String, u64)> {
     pairs
 }
 
-/// The `--telemetry --gate` overhead guard: re-measures each E11
-/// configuration sequentially with span recording off and then on, and
-/// reports every configuration where the recording-on minimum exceeds
-/// [`TELEMETRY_OVERHEAD_RATIO`] times the recording-off minimum plus
-/// [`TELEMETRY_OVERHEAD_SLACK_MS`]. Same-host, same-invocation comparison,
-/// like [`gate_regressions`].
-fn telemetry_overhead(profile: Profile) -> Vec<String> {
-    println!(
-        "## Telemetry overhead (recording on vs off, sequential)
-"
-    );
+/// The recording on/off legs behind the `--telemetry --gate` overhead
+/// bound: each E11 configuration built sequentially with span recording
+/// off and on, the two legs alternating rep by rep. Each on-leg rep is a
+/// whole recording session, its start and drain included. Records come
+/// in `telemetry` experiment rows named `<algorithm>/off` and
+/// `<algorithm>/on`.
+fn telemetry_overhead(profile: Profile) -> Vec<BenchRecord> {
+    println!("## Telemetry overhead (recording on vs off, sequential)\n");
     println!("| algorithm | n | off | on | spans |");
     println!("|---|---|---|---|---|");
-    let cfg = ParallelConfig::with_threads(2).cap_to_hardware();
-    let mut violations = Vec::new();
+    let threads = 2;
+    let cfg = ParallelConfig::with_threads(threads).cap_to_hardware();
+    let mut records = Vec::new();
     for config in scalability_configs(profile) {
         let ds = sweep_dataset(config.n, config.distribution);
-        let plain = time_stats(config.reps, || (config.build)(&ds, &cfg));
-        telemetry::start_recording();
-        let instrumented = time_stats(config.reps, || (config.build)(&ds, &cfg));
-        let spans = telemetry::stop_recording().len();
+        let mut spans = 0;
+        let (off, on) = time_interleaved(
+            config.reps,
+            || (config.build)(&ds, &cfg),
+            || {
+                telemetry::start_recording();
+                (config.build)(&ds, &cfg);
+                spans = telemetry::stop_recording().len();
+            },
+        );
         println!(
-            "| {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {spans} |",
             config.algorithm,
             config.n,
-            fmt_ms(plain.min_ms),
-            fmt_ms(instrumented.min_ms),
-            spans,
+            fmt_ms(off.min_ms),
+            fmt_ms(on.min_ms),
         );
-        let budget = TELEMETRY_OVERHEAD_RATIO * plain.min_ms + TELEMETRY_OVERHEAD_SLACK_MS;
-        if instrumented.min_ms > budget {
-            violations.push(format!(
-                "telemetry overhead: {} n={}: recording-on {} vs recording-off {}                  (budget {})",
-                config.algorithm,
-                config.n,
-                fmt_ms(instrumented.min_ms),
-                fmt_ms(plain.min_ms),
-                fmt_ms(budget),
-            ));
+        for (leg, stats) in [("off", off), ("on", on)] {
+            records.push(BenchRecord {
+                experiment: "telemetry".to_string(),
+                algorithm: format!("{}/{leg}", config.algorithm),
+                n: config.n,
+                s: 10 * config.n as i64,
+                d: 2,
+                distribution: config.distribution.name().to_string(),
+                threads,
+                reps: config.reps,
+                min_ms: stats.min_ms,
+                median_ms: stats.median_ms,
+                metrics: Vec::new(),
+            });
         }
     }
     println!();
-    violations
+    records
 }
 
-/// The regression gate (CI `bench-smoke` job): every parallel record must be
-/// no more than `ratio` (default [`GATE_RATIO`]) times slower (by minimum
-/// wall time) than the sequential (`threads = 0`) record of the same
-/// configuration from the same invocation — same-host comparison, so
-/// absolute machine speed cancels out. Comparisons where both sides ran
-/// under `floor_ms` are exempt (see [`GATE_FLOOR_MS`]). Returns the number
-/// of parallel records checked, or the violation list.
-fn gate_regressions(
-    records: &[BenchRecord],
-    ratio: f64,
-    floor_ms: f64,
-) -> Result<usize, Vec<String>> {
-    let key = |r: &BenchRecord| {
-        (
-            r.experiment.clone(),
-            r.algorithm.clone(),
-            r.n,
-            r.s,
-            r.d,
-            r.distribution.clone(),
-        )
-    };
-    let sequential: std::collections::HashMap<_, f64> = records
-        .iter()
-        .filter(|r| r.threads == 0)
-        .map(|r| (key(r), r.min_ms))
-        .collect();
-
-    let mut violations = Vec::new();
-    let mut checked = 0usize;
-    // E15 rows carry a threads column too, but they time exactly one build
-    // per configuration (bytes are the measurand); their t=4 vs t=0
-    // comparison belongs to `gate_memory`, not the timing guard.
-    for r in records
-        .iter()
-        .filter(|r| r.threads > 0 && r.experiment != "e15")
-    {
-        let Some(&seq_ms) = sequential.get(&key(r)) else {
-            violations.push(format!(
-                "{} {} n={} threads={} has no sequential baseline record",
-                r.experiment, r.algorithm, r.n, r.threads
-            ));
-            continue;
-        };
-        checked += 1;
-        if r.min_ms < floor_ms && seq_ms < floor_ms {
-            continue;
-        }
-        if r.min_ms > ratio * seq_ms {
-            violations.push(format!(
-                "{} {} n={} dist={} threads={}: {} vs sequential {} ({:.2}x > {ratio}x)",
-                r.experiment,
-                r.algorithm,
-                r.n,
-                r.distribution,
-                r.threads,
-                fmt_ms(r.min_ms),
-                fmt_ms(seq_ms),
-                r.min_ms / seq_ms
-            ));
-        }
-    }
-    if checked == 0 && violations.is_empty() {
-        violations.push("no parallel records collected — run e11/e12/e13 with --gate".to_string());
-    }
-    if violations.is_empty() {
-        Ok(checked)
-    } else {
-        Err(violations)
-    }
-}
-
-/// The per-record t4/t1 efficiency threshold, graded by host width: wide
-/// hosts (>= 4 hardware threads, e.g. standard CI runners) demand real
-/// speedup on the large global configurations and parity elsewhere; narrow
-/// hosts can only check that 4 workers time-slicing fewer cores don't
-/// collapse. The E11 smoke profile runs at n <= 200, so the wide-global
-/// threshold arms on the full profile (n >= 400) where the PR 3 scaling
-/// cliff lived.
-fn efficiency_threshold(algorithm: &str, n: usize, hardware_threads: usize) -> f64 {
-    if hardware_threads < 4 {
-        return EFFICIENCY_NARROW;
-    }
-    if algorithm.starts_with("global/") && n >= 400 {
-        EFFICIENCY_WIDE_GLOBAL
-    } else {
-        EFFICIENCY_WIDE_DEFAULT
-    }
-}
-
-/// The E11 t4/t1 efficiency guard: for every E11 configuration with both a
-/// `threads = 1` and a `threads = 4` record, `t1_min / t4_min` must reach
-/// the per-record threshold ([`efficiency_threshold`], or `override_ratio`
-/// for every record when given). Pairs where both records ran under
-/// `floor_ms` are exempt, like the regression guard. Returns the number of
-/// pairs checked, or the violation list.
-fn gate_efficiency(
-    records: &[BenchRecord],
-    override_ratio: Option<f64>,
-    floor_ms: f64,
-) -> Result<usize, Vec<String>> {
-    let hardware_threads = skyline_core::parallel::available_threads();
-    let key = |r: &BenchRecord| (r.algorithm.clone(), r.n, r.distribution.clone());
-    let mut pairs: std::collections::HashMap<_, (Option<f64>, Option<f64>)> =
-        std::collections::HashMap::new();
-    for r in records.iter().filter(|r| r.experiment == "e11") {
-        let entry = pairs.entry(key(r)).or_default();
-        match r.threads {
-            1 => entry.0 = Some(r.min_ms),
-            4 => entry.1 = Some(r.min_ms),
-            _ => {}
-        }
-    }
-
-    let mut violations = Vec::new();
-    let mut checked = 0usize;
-    let mut keys: Vec<_> = pairs.keys().cloned().collect();
-    keys.sort();
-    for k in keys {
-        let (algorithm, n, distribution) = &k;
-        let (Some(t1), Some(t4)) = pairs[&k] else {
-            continue;
-        };
-        checked += 1;
-        if t1 < floor_ms && t4 < floor_ms {
-            continue;
-        }
-        let threshold =
-            override_ratio.unwrap_or_else(|| efficiency_threshold(algorithm, *n, hardware_threads));
-        if t1 / t4 < threshold {
-            violations.push(format!(
-                "efficiency: {algorithm} n={n} dist={distribution}: t4/t1 speedup {:.2}x < required {threshold:.2}x (t1 {} vs t4 {}, host width {hardware_threads})",
-                t1 / t4,
-                fmt_ms(t1),
-                fmt_ms(t4),
-            ));
-        }
-    }
-    if checked == 0 {
-        violations.push("no t1/t4 record pairs collected — run e11 with --gate".to_string());
-    }
-    if violations.is_empty() {
-        Ok(checked)
-    } else {
-        Err(violations)
-    }
-}
-
-/// The committed E13 SLO table: per-family open-loop latency budgets for
-/// the `lanes = 0` (inline, queue-free) rows. The bounds are deliberately
-/// generous — on the smoke profile the measured p99 sits orders of
-/// magnitude below them — because their job is to catch pathological tail
-/// regressions (a stall, a lock convoy, an accidental O(n) rescan) on
-/// shared CI hardware, not to pin microsecond-level performance.
-fn slo_specs(scale: f64) -> Vec<SloSpec> {
-    let p99 = |family| SloSpec {
-        family,
-        label: "p99",
-        percentile: 99.0,
-        bound_us: (100_000.0 * scale) as u64,
-    };
-    let mut specs = vec![
-        p99("quadrant"),
-        p99("global"),
-        p99("safe_zone"),
-        p99("trace"),
-        p99("overall"),
-    ];
-    specs.push(SloSpec {
-        family: "overall",
-        label: "p999",
-        percentile: 99.9,
-        bound_us: (250_000.0 * scale) as u64,
-    });
-    specs
-}
-
-/// The E13 SLO gate: applies [`slo_specs`] to the interpolated percentile
-/// metrics embedded in every `lanes = 0` open-loop record. Multi-lane rows
-/// are excluded on purpose — on a 1-core host trailing lanes run after the
-/// schedule, so their tails measure the schedule length, not the server
-/// (EXPERIMENTS.md E13 discusses this). Returns the number of bounds
-/// checked, or the violation list.
-fn gate_slos(records: &[BenchRecord], scale: f64) -> Result<usize, Vec<String>> {
-    let specs = slo_specs(scale);
-    let mut checked = 0usize;
-    let mut violations = Vec::new();
-    for r in records
-        .iter()
-        .filter(|r| r.experiment == "e13" && r.threads == 0)
-    {
-        let measured: Vec<(String, String, u64)> = r
-            .metrics
-            .iter()
-            .filter_map(|(key, value)| {
-                let (family, label) = key.strip_suffix("_us")?.rsplit_once('.')?;
-                Some((family.to_string(), label.to_string(), *value))
-            })
-            .collect();
-        checked += specs.len();
-        violations.extend(
-            slo_violations(&specs, &measured)
-                .into_iter()
-                .map(|msg| format!("{} n={}: {msg}", r.algorithm, r.n)),
-        );
-    }
-    if checked == 0 {
-        violations.push("no lanes = 0 open-loop records collected — run e13 --gate".to_string());
-    }
-    if violations.is_empty() {
-        Ok(checked)
-    } else {
-        Err(violations)
-    }
-}
-
-/// E13: open-loop tail latency. Arrivals follow a fixed-rate schedule and
-/// latency is measured from the *scheduled* arrival, so queueing delay is
-/// charged to the server (coordinated-omission-safe) — see
-/// `skyline_serve::openloop`. Sweeps arrival rate × lane count; the
-/// `lanes = 0` rows are the queue-free SLO reference, and the digest column
-/// is bit-identical across lane counts by construction. Records use
-/// `threads` for the lane count and embed interpolated per-family
-/// percentiles (µs) as metrics, which [`gate_slos`] checks.
 /// E14 — cold-start latency: building the full index from raw points versus
 /// loading the snapshot container ([`skyline_core::container`]) written by
 /// that same build. Both paths end in an identical, query-ready
@@ -647,9 +306,10 @@ fn gate_slos(records: &[BenchRecord], scale: f64) -> Result<usize, Vec<String>> 
 /// bounds-checked, checksum-validated decode that `skydiag load` and
 /// [`skyline_serve::SkylineServer::from_container`] run on startup. All
 /// rows are sequential (`threads = 0`): the decode path is single-threaded
-/// by design. The `mem.container.bytes` metric records the file size per
-/// configuration (deterministic, so committed artifacts stay byte-stable;
-/// the pre-PR10 `container.bytes` spelling rides along as a compat alias).
+/// by design. The rebuild and load legs alternate rep by rep, so a change
+/// in the host's speed lands on both sides of the gated ratio. The
+/// `mem.container.bytes` metric records the file size per configuration
+/// (deterministic, so committed artifacts stay byte-stable).
 fn e14_cold_start(profile: Profile) -> Vec<BenchRecord> {
     use skyline_core::container;
     use skyline_core::index::SkylineIndex;
@@ -683,8 +343,7 @@ fn e14_cold_start(profile: Profile) -> Vec<BenchRecord> {
         let index = build();
         let handles: Vec<Handle> = (0..ds.len() as u64).map(Handle).collect();
         let bytes = container::encode_index(&index, &handles);
-        let rebuild = time_stats(reps, build);
-        let load = time_stats(reps, || {
+        let (rebuild, load) = time_interleaved(reps, build, || {
             container::decode_index(&bytes).expect("fresh container bytes must decode")
         });
         println!(
@@ -706,13 +365,7 @@ fn e14_cold_start(profile: Profile) -> Vec<BenchRecord> {
                 reps,
                 min_ms: stats.min_ms,
                 median_ms: stats.median_ms,
-                metrics: vec![
-                    // Canonical key on the memory-observatory naming
-                    // scheme, plus the pre-PR10 spelling as a compat
-                    // alias so existing gate configs keep resolving.
-                    ("mem.container.bytes".to_string(), bytes.len() as u64),
-                    ("container.bytes".to_string(), bytes.len() as u64),
-                ],
+                metrics: vec![("mem.container.bytes".to_string(), bytes.len() as u64)],
             });
         }
     };
@@ -722,62 +375,6 @@ fn e14_cold_start(profile: Profile) -> Vec<BenchRecord> {
     run_case("coldstart-dynamic", dynamic_n, true);
     println!();
     records
-}
-
-/// The E14 cold-start guard: for every `n >= 400` configuration with both
-/// legs recorded, the container load must be at least [`COLD_START_RATIO`]
-/// times faster than the rebuild. Pairs whose rebuild ran under `floor_ms`
-/// are exempt (a sub-floor rebuild means the ratio measures scheduler noise,
-/// not the decode path — see [`GATE_FLOOR_MS`]). Returns the number of
-/// pairs checked, or the violation list.
-fn gate_cold_start(records: &[BenchRecord], floor_ms: f64) -> Result<usize, Vec<String>> {
-    let mut pairs: std::collections::HashMap<(String, usize), (Option<f64>, Option<f64>)> =
-        std::collections::HashMap::new();
-    for r in records.iter().filter(|r| r.experiment == "e14") {
-        if let Some(family) = r.algorithm.strip_suffix("/rebuild") {
-            pairs.entry((family.to_string(), r.n)).or_default().0 = Some(r.min_ms);
-        } else if let Some(family) = r.algorithm.strip_suffix("/load") {
-            pairs.entry((family.to_string(), r.n)).or_default().1 = Some(r.min_ms);
-        }
-    }
-
-    let mut violations = Vec::new();
-    let mut checked = 0usize;
-    let mut keys: Vec<_> = pairs.keys().cloned().collect();
-    keys.sort();
-    for k in keys {
-        let (family, n) = &k;
-        if *n < 400 {
-            continue;
-        }
-        let (Some(rebuild), Some(load)) = pairs[&k] else {
-            violations.push(format!(
-                "cold start: {family} n={n} is missing a rebuild or load record"
-            ));
-            continue;
-        };
-        if rebuild < floor_ms {
-            continue;
-        }
-        checked += 1;
-        if rebuild / load < COLD_START_RATIO {
-            violations.push(format!(
-                "cold start: {family} n={n}: load {} vs rebuild {} ({:.1}x < required {COLD_START_RATIO}x)",
-                fmt_ms(load),
-                fmt_ms(rebuild),
-                rebuild / load,
-            ));
-        }
-    }
-    if checked == 0 && violations.is_empty() {
-        violations
-            .push("no cold-start pairs at n >= 400 collected — run e14 with --gate".to_string());
-    }
-    if violations.is_empty() {
-        Ok(checked)
-    } else {
-        Err(violations)
-    }
 }
 
 /// E15 — memory scaling: peak working set, allocation churn, and retained
@@ -959,97 +556,14 @@ fn e15_memory(profile: Profile) -> Vec<BenchRecord> {
     records
 }
 
-/// The E15 memory guard, armed only when the counting allocator is
-/// compiled in (a `--no-default-features` run reports zero bytes — gating
-/// on that would always pass vacuously, so it skips loudly instead):
-///
-/// * **Peak regression** — every t=4 build row's `mem.peak_bytes` delta
-///   stays within [`MEM_PEAK_RATIO`] of the t=0 row of the same
-///   configuration, same-host/same-invocation like the timing guard. Pairs with both
-///   peaks under [`MEM_PEAK_FLOOR_BYTES`] are exempt.
-/// * **Absolute budget** — every build row's retained
-///   `mem.heap_bytes / mem.cells` stays under
-///   [`MEM_BYTES_PER_CELL_BUDGET`].
-fn gate_memory(records: &[BenchRecord]) -> Result<usize, Vec<String>> {
-    use skyline_core::telemetry::mem;
-    if !mem::enabled() {
-        eprintln!("gate: memory guards skipped (mem-telemetry compiled out)");
-        return Ok(0);
-    }
-    let metric = |r: &BenchRecord, key: &str| {
-        r.metrics
-            .iter()
-            .find(|(name, _)| name == key)
-            .map(|&(_, value)| value)
-    };
-    let build_rows: Vec<&BenchRecord> = records
-        .iter()
-        .filter(|r| r.experiment == "e15" && !r.algorithm.starts_with("serve/"))
-        .collect();
-
-    let mut violations = Vec::new();
-    let mut checked = 0usize;
-
-    let sequential: std::collections::HashMap<(String, usize), u64> = build_rows
-        .iter()
-        .filter(|r| r.threads == 0)
-        .filter_map(|r| metric(r, "mem.peak_bytes").map(|p| ((r.algorithm.clone(), r.n), p)))
-        .collect();
-    for r in build_rows.iter().filter(|r| r.threads > 0) {
-        let Some(par_peak) = metric(r, "mem.peak_bytes") else {
-            continue;
-        };
-        let Some(&seq_peak) = sequential.get(&(r.algorithm.clone(), r.n)) else {
-            violations.push(format!(
-                "e15 {} n={} threads={} has no sequential peak baseline",
-                r.algorithm, r.n, r.threads
-            ));
-            continue;
-        };
-        if par_peak < MEM_PEAK_FLOOR_BYTES && seq_peak < MEM_PEAK_FLOOR_BYTES {
-            continue;
-        }
-        checked += 1;
-        if par_peak as f64 > MEM_PEAK_RATIO * seq_peak as f64 {
-            violations.push(format!(
-                "e15 {} n={} threads={}: peak {par_peak} B vs sequential {seq_peak} B \
-                 ({:.2}x > {MEM_PEAK_RATIO}x)",
-                r.algorithm,
-                r.n,
-                r.threads,
-                par_peak as f64 / seq_peak as f64
-            ));
-        }
-    }
-
-    for r in &build_rows {
-        let (Some(heap), Some(cells)) = (metric(r, "mem.heap_bytes"), metric(r, "mem.cells"))
-        else {
-            continue;
-        };
-        if cells == 0 {
-            continue;
-        }
-        checked += 1;
-        let per_cell = heap as f64 / cells as f64;
-        if per_cell > MEM_BYTES_PER_CELL_BUDGET {
-            violations.push(format!(
-                "e15 {} n={} threads={}: {per_cell:.1} B/cell > budget {MEM_BYTES_PER_CELL_BUDGET}",
-                r.algorithm, r.n, r.threads
-            ));
-        }
-    }
-
-    if checked == 0 && violations.is_empty() {
-        violations.push("no e15 memory records collected — run e15 with --gate".to_string());
-    }
-    if violations.is_empty() {
-        Ok(checked)
-    } else {
-        Err(violations)
-    }
-}
-
+/// E13: open-loop tail latency. Arrivals follow a fixed-rate schedule and
+/// latency is measured from the *scheduled* arrival, so queueing delay is
+/// charged to the server (coordinated-omission-safe) — see
+/// `skyline_serve::openloop`. Sweeps arrival rate × lane count; the
+/// `lanes = 0` rows are the queue-free SLO reference, and the digest column
+/// is bit-identical across lane counts by construction. Records use
+/// `threads` for the lane count and embed interpolated per-family
+/// percentiles (µs) as metrics, which the `slo-*` gate rows check.
 fn e13_open_loop(profile: Profile, capture_telemetry: bool) -> Vec<BenchRecord> {
     use skyline_serve::{run_open_loop, OpenLoopSpec, ServerOptions, SkylineServer};
 

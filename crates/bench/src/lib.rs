@@ -11,6 +11,7 @@ use skyline_core::geometry::{Dataset, DatasetD};
 use skyline_data::{DatasetSpec, Distribution};
 
 pub mod diag;
+pub mod gate;
 pub mod json;
 pub mod quantile;
 
@@ -60,15 +61,9 @@ pub fn highd_dataset(n: usize, dims: usize, distribution: Distribution) -> Datas
 /// binary sweeps configurations too large to criterion-sample).
 pub fn time_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     assert!(reps > 0);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(out);
-        best = best.min(elapsed);
-    }
-    best
+    (0..reps)
+        .map(|_| time_once(&mut f))
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Wall-time summary over a set of repetitions, in milliseconds.
@@ -85,15 +80,49 @@ pub struct TimeStats {
 /// compare minima while the median exposes scheduling noise.
 pub fn time_stats<T>(reps: usize, mut f: impl FnMut() -> T) -> TimeStats {
     assert!(reps > 0);
-    let mut samples = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        let out = f();
-        let elapsed = start.elapsed().as_secs_f64() * 1e3;
-        std::hint::black_box(out);
-        samples.push(elapsed);
+    summarize((0..reps).map(|_| time_once(&mut f)).collect())
+}
+
+/// Times the two legs of one comparison rep by rep, `reps` runs each, in
+/// the order `a b`, `b a`, `a b`, … A change in the host's speed during
+/// the run then lands on both legs alike instead of on whichever ran
+/// second. The order flips every rep because a leg is slower right after
+/// the other one: a container load that follows a rebuild pays minor
+/// faults for pages the rebuild's frees gave back, where a load after a
+/// load reuses them.
+pub fn time_interleaved<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+) -> (TimeStats, TimeStats) {
+    assert!(reps > 0);
+    let (mut a_ms, mut b_ms) = (Vec::with_capacity(reps), Vec::with_capacity(reps));
+    for rep in 0..reps {
+        if rep % 2 == 0 {
+            a_ms.push(time_once(&mut a));
+            b_ms.push(time_once(&mut b));
+        } else {
+            b_ms.push(time_once(&mut b));
+            a_ms.push(time_once(&mut a));
+        }
     }
+    (summarize(a_ms), summarize(b_ms))
+}
+
+/// Milliseconds for one run of `f`; the result is dropped after the clock
+/// stops.
+fn time_once<T>(f: &mut impl FnMut() -> T) -> f64 {
+    let start = Instant::now();
+    let out = f();
+    let elapsed = start.elapsed().as_secs_f64() * 1e3;
+    std::hint::black_box(out);
+    elapsed
+}
+
+/// Minimum and median of a non-empty sample set.
+fn summarize(mut samples: Vec<f64>) -> TimeStats {
     samples.sort_unstable_by(|a, b| a.total_cmp(b));
+    let reps = samples.len();
     let median_ms = if reps % 2 == 1 {
         samples[reps / 2]
     } else {
@@ -144,6 +173,18 @@ mod tests {
         let stats = time_stats(5, || (0..1000).sum::<u64>());
         assert!(stats.min_ms >= 0.0);
         assert!(stats.median_ms >= stats.min_ms);
+    }
+
+    #[test]
+    fn interleaved_legs_alternate_their_order_every_rep() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let (a, b) = time_interleaved(
+            3,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!(order.into_inner(), ['a', 'b', 'b', 'a', 'a', 'b']);
+        assert!(a.median_ms >= a.min_ms && b.median_ms >= b.min_ms);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Percentile interpolation over the telemetry log2 histograms, plus the
-//! SLO (service-level objective) types behind `experiments e13 --gate`.
+//! Percentile interpolation over the telemetry log2 histograms, which the
+//! E13 open-loop records publish and `experiments e13 --gate` bounds.
 //!
 //! The telemetry layer records latencies into 65 log2 buckets
 //! ([`skyline_core::telemetry::bucket_index`]): cheap on the hot path,
@@ -74,58 +74,6 @@ pub fn percentile_sparse(pairs: &[(usize, u64)], p: f64) -> u64 {
         dense[i] += count;
     }
     percentile(&dense, p)
-}
-
-/// One service-level objective: a percentile bound on one query family's
-/// open-loop latency. `family` matches the
-/// [`skyline_serve::FAMILY_NAMES`] entry (or `"overall"`); the bound is
-/// in microseconds on the interpolated percentile.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SloSpec {
-    /// Query family the bound applies to (e.g. `"quadrant"`, `"overall"`).
-    pub family: &'static str,
-    /// Metric label from [`PERCENTILE_LABELS`] (e.g. `"p99"`).
-    pub label: &'static str,
-    /// Percentile, in `[0, 100]` (e.g. `99.0`).
-    pub percentile: f64,
-    /// Inclusive upper bound on the interpolated percentile, in µs.
-    pub bound_us: u64,
-}
-
-impl SloSpec {
-    /// Checks a measured percentile (µs) against this bound, returning a
-    /// gate-style violation message on breach.
-    pub fn check(&self, measured_us: u64) -> Option<String> {
-        if measured_us > self.bound_us {
-            Some(format!(
-                "SLO breach: {} {} = {}us exceeds bound {}us",
-                self.family, self.label, measured_us, self.bound_us
-            ))
-        } else {
-            None
-        }
-    }
-}
-
-/// Applies a spec table to measured `(family, label, value µs)` triples;
-/// returns one message per breached bound. A spec whose (family, label)
-/// pair has no measurement is itself a violation — a silently missing
-/// family must not pass the gate.
-pub fn slo_violations(specs: &[SloSpec], measured: &[(String, String, u64)]) -> Vec<String> {
-    let mut out = Vec::new();
-    for spec in specs {
-        let hit = measured
-            .iter()
-            .find(|(family, label, _)| family == spec.family && label == spec.label);
-        match hit {
-            Some(&(_, _, value)) => out.extend(spec.check(value)),
-            None => out.push(format!(
-                "SLO breach: no measurement for {} {}",
-                spec.family, spec.label
-            )),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -254,34 +202,5 @@ mod tests {
         for w in values.windows(2) {
             assert!(w[0] <= w[1], "percentiles must be monotone: {values:?}");
         }
-    }
-
-    #[test]
-    fn slo_check_reports_breaches_and_missing_families() {
-        let specs = [
-            SloSpec {
-                family: "quadrant",
-                label: "p99",
-                percentile: 99.0,
-                bound_us: 1_000,
-            },
-            SloSpec {
-                family: "overall",
-                label: "p999",
-                percentile: 99.9,
-                bound_us: 5_000,
-            },
-        ];
-        let ok = vec![
-            ("quadrant".to_string(), "p99".to_string(), 900),
-            ("overall".to_string(), "p999".to_string(), 5_000),
-        ];
-        assert!(slo_violations(&specs, &ok).is_empty());
-
-        let breach = vec![("quadrant".to_string(), "p99".to_string(), 1_001)];
-        let msgs = slo_violations(&specs, &breach);
-        assert_eq!(msgs.len(), 2, "one breach plus one missing family");
-        assert!(msgs[0].contains("quadrant p99 = 1001us exceeds bound 1000us"));
-        assert!(msgs[1].contains("no measurement for overall p999"));
     }
 }

@@ -450,6 +450,22 @@ fn write_trace_outputs(
 fn cmd_trace_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let engine = parse_engine(args.get_or("engine", "sweeping"))?;
     let kind = args.get_or("kind", "quadrant").to_string();
+    // Resolved before the session starts: the metrics reset and the
+    // recording session are process-global, so a bad kind must not touch
+    // them.
+    type Build = fn(&Dataset, QuadrantEngine, &skyline_core::parallel::ParallelConfig) -> usize;
+    let build: Build = match kind.as_str() {
+        "quadrant" => |ds, engine, cfg| engine.build_with(ds, cfg).heap_bytes(),
+        "global" => {
+            |ds, engine, cfg| skyline_core::global::build_with(ds, engine, cfg).heap_bytes()
+        }
+        "dynamic" => |ds, _, cfg| DynamicEngine::Scanning.build_with(ds, cfg).heap_bytes(),
+        other => {
+            return Err(CliError::Other(format!(
+                "unknown kind {other:?}; expected quadrant, global or dynamic"
+            )))
+        }
+    };
     let out_path = args.require("out")?.to_string();
     let metrics_path = args.get("metrics").map(str::to_string);
     let cfg = trace_parallel_config(args)?;
@@ -459,21 +475,7 @@ fn cmd_trace_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
 
     skyline_core::telemetry::reset_metrics();
     skyline_core::telemetry::start_recording();
-    let arena_bytes = match kind.as_str() {
-        "quadrant" => engine.build_with(&dataset, &cfg).heap_bytes(),
-        "global" => skyline_core::global::build_with(&dataset, engine, &cfg).heap_bytes(),
-        "dynamic" => DynamicEngine::Scanning
-            .build_with(&dataset, &cfg)
-            .heap_bytes(),
-        other => {
-            // Close the session before failing so a bad kind never leaks a
-            // recording generation into the caller's process.
-            let _ = skyline_core::telemetry::stop_recording();
-            return Err(CliError::Other(format!(
-                "unknown kind {other:?}; expected quadrant, global or dynamic"
-            )));
-        }
-    };
+    let arena_bytes = build(&dataset, engine, &cfg);
     // Lands the retained arena size in the metrics snapshot so a later
     // `skydiag report <trace> --mem <metrics>` can compute the
     // transient-vs-retained churn ratio against `mem.alloc_bytes`.
@@ -1677,7 +1679,6 @@ mod tests {
 
     #[test]
     fn trace_build_rejects_unknown_kind() {
-        let _telemetry = telemetry_lock();
         assert!(matches!(
             run(
                 cmd_trace,

@@ -104,3 +104,19 @@ fn mem_with_an_unknown_mode_fails_cleanly() {
     let stderr = assert_clean_failure(&out, "unknown mem mode");
     assert!(stderr.contains("unknown mem mode"), "{stderr}");
 }
+
+#[test]
+fn trace_build_with_an_unknown_kind_fails_cleanly() {
+    let out_path = scratch("trace-kind").join("trace.json");
+    let out = skydiag(&[
+        "trace",
+        "build",
+        "--kind",
+        "warp",
+        "--out",
+        path_str(&out_path),
+    ]);
+    let stderr = assert_clean_failure(&out, "unknown trace kind");
+    assert!(stderr.contains("unknown kind \"warp\""), "{stderr}");
+    assert!(!out_path.exists(), "nothing is written");
+}
