@@ -35,8 +35,9 @@ use skyline_core::highd::HighDEngine;
 use skyline_core::parallel::ParallelConfig;
 use skyline_core::quadrant::{self, QuadrantEngine};
 use skyline_core::query;
-use skyline_core::telemetry;
+use skyline_core::telemetry::{self, MetricsSnapshot};
 use skyline_data::Distribution;
+use std::collections::BTreeMap;
 
 const USAGE: &str = "\
 Usage: experiments [EXPERIMENT...] [--profile smoke|full] [--json PATH] [--gate]
@@ -230,10 +231,18 @@ fn main() {
     }
 }
 
-/// The telemetry registry as sorted `(name, value)` pairs for embedding in
-/// bench records: every counter, plus per-histogram `.count`/`.sum` keys.
-fn metric_pairs() -> Vec<(String, u64)> {
-    let snap = telemetry::metrics_snapshot();
+/// Opens an observed interval: re-seats the allocator peak so the
+/// interval's `mem.peak_bytes` is its own, and snapshots the metrics.
+fn observe() -> MetricsSnapshot {
+    telemetry::mem::reseat_peak();
+    telemetry::metrics_snapshot()
+}
+
+/// The metrics that moved since `before` (an [`observe`] snapshot) as
+/// sorted `(name, value)` pairs for embedding in bench records: every
+/// counter, plus per-histogram `.count`/`.sum` keys.
+fn metric_pairs(before: &MetricsSnapshot) -> Vec<(String, u64)> {
+    let snap = telemetry::delta(before, &telemetry::metrics_snapshot());
     let mut pairs: Vec<(String, u64)> = snap
         .counters
         .iter()
@@ -245,6 +254,21 @@ fn metric_pairs() -> Vec<(String, u64)> {
     }
     pairs.sort();
     pairs
+}
+
+/// Folds one repetition's [`metric_pairs`] into its record's total: totals
+/// add up, as over one interval spanning every repetition, and the two
+/// allocator levels keep their highest reading.
+fn accumulate(total: &mut BTreeMap<String, u64>, rep: Vec<(String, u64)>) {
+    for (name, value) in rep {
+        let level = matches!(name.as_str(), "mem.live_bytes" | "mem.peak_bytes");
+        let slot = total.entry(name).or_insert(0);
+        *slot = if level {
+            value.max(*slot)
+        } else {
+            value + *slot
+        };
+    }
 }
 
 /// The recording on/off legs behind the `--telemetry --gate` overhead
@@ -418,8 +442,8 @@ fn e15_memory(profile: Profile) -> Vec<BenchRecord> {
 
     // One timed build per configuration: bytes are the measurand here, and
     // repeating the build would fold the first run's freed scratch into
-    // the next run's peak baseline. `reset_metrics` re-seats the peak at
-    // the current live level, so `peak - live_before` is the build's own
+    // the next run's peak baseline. `observe` re-seats the peak at the
+    // current live level, so `peak - live_before` is the build's own
     // high-water contribution (the peak-RSS proxy).
     let mut run_build =
         |family: &str,
@@ -428,31 +452,28 @@ fn e15_memory(profile: Profile) -> Vec<BenchRecord> {
          build: &dyn Fn(&Dataset, &ParallelConfig) -> (usize, usize)| {
             let ds = sweep_dataset(n, Distribution::Independent);
             let cfg = ParallelConfig::with_threads(threads).cap_to_hardware();
-            telemetry::reset_metrics();
-            let before = mem::stats();
+            let before = observe();
             let start_ns = telemetry::now_ns();
             let (heap_bytes, cells) = build(&ds, &cfg);
             let elapsed_ms = telemetry::ms_since(start_ns);
-            let after = mem::stats();
-            let peak_delta = after.peak_bytes.saturating_sub(before.live_bytes);
+            let moved = telemetry::delta(&before, &telemetry::metrics_snapshot());
+            let peak_delta = moved
+                .counter("mem.peak_bytes")
+                .saturating_sub(before.counter("mem.live_bytes"));
+            let alloc_bytes = moved.counter("mem.alloc_bytes");
             let bytes_per_cell = heap_bytes as u64 / cells.max(1) as u64;
             println!(
-            "| {family} | {n} | {threads} | {peak_delta} | {} | {heap_bytes} | {cells} | {bytes_per_cell} |",
-            after.alloc_bytes,
+            "| {family} | {n} | {threads} | {peak_delta} | {alloc_bytes} | {heap_bytes} | {cells} | {bytes_per_cell} |",
         );
             let mut metrics = vec![
                 ("mem.peak_bytes".to_string(), peak_delta),
-                ("mem.alloc_bytes".to_string(), after.alloc_bytes),
-                ("mem.allocs".to_string(), after.allocs),
+                ("mem.alloc_bytes".to_string(), alloc_bytes),
+                ("mem.allocs".to_string(), moved.counter("mem.allocs")),
                 ("mem.heap_bytes".to_string(), heap_bytes as u64),
                 ("mem.cells".to_string(), cells as u64),
                 ("mem.bytes_per_cell".to_string(), bytes_per_cell),
             ];
-            for (i, row) in mem::phase_stats().into_iter().enumerate() {
-                if row.alloc_bytes > 0 {
-                    metrics.push((mem::PHASE_METRIC_NAMES[i].0.to_string(), row.alloc_bytes));
-                }
-            }
+            metrics.extend(phase_alloc_bytes(&moved));
             records.push(BenchRecord {
                 experiment: "e15".to_string(),
                 algorithm: family.to_string(),
@@ -500,8 +521,7 @@ fn e15_memory(profile: Profile) -> Vec<BenchRecord> {
     };
     let ds = sweep_dataset(serve_n, Distribution::Independent);
     let family = "serve/snapshot";
-    telemetry::reset_metrics();
-    let before = mem::stats();
+    let before = observe();
     let start_ns = telemetry::now_ns();
     let options = ServerOptions {
         with_global: true,
@@ -520,25 +540,23 @@ fn e15_memory(profile: Profile) -> Vec<BenchRecord> {
     };
     let report = skyline_serve::workload::run(&server, &spec, &handles);
     let elapsed_ms = telemetry::ms_since(start_ns);
-    let after = mem::stats();
+    let moved = telemetry::delta(&before, &telemetry::metrics_snapshot());
     let snapshot_bytes = server.reader().snapshot().heap_bytes();
-    let peak_delta = after.peak_bytes.saturating_sub(before.live_bytes);
+    let peak_delta = moved
+        .counter("mem.peak_bytes")
+        .saturating_sub(before.counter("mem.live_bytes"));
+    let alloc_bytes = moved.counter("mem.alloc_bytes");
     println!(
-        "| {family} | {serve_n} | 0 | {peak_delta} | {} | {snapshot_bytes} | - | - |",
-        after.alloc_bytes,
+        "| {family} | {serve_n} | 0 | {peak_delta} | {alloc_bytes} | {snapshot_bytes} | - | - |"
     );
     let mut metrics = vec![
         ("mem.peak_bytes".to_string(), peak_delta),
-        ("mem.alloc_bytes".to_string(), after.alloc_bytes),
-        ("mem.allocs".to_string(), after.allocs),
+        ("mem.alloc_bytes".to_string(), alloc_bytes),
+        ("mem.allocs".to_string(), moved.counter("mem.allocs")),
         ("mem.snapshot_bytes".to_string(), snapshot_bytes as u64),
         ("workload.checksum".to_string(), report.checksum),
     ];
-    for (i, row) in mem::phase_stats().into_iter().enumerate() {
-        if row.alloc_bytes > 0 {
-            metrics.push((mem::PHASE_METRIC_NAMES[i].0.to_string(), row.alloc_bytes));
-        }
-    }
+    metrics.extend(phase_alloc_bytes(&moved));
     records.push(BenchRecord {
         experiment: "e15".to_string(),
         algorithm: family.to_string(),
@@ -554,6 +572,16 @@ fn e15_memory(profile: Profile) -> Vec<BenchRecord> {
     });
     println!();
     records
+}
+
+/// The `mem.phase.*.alloc_bytes` rows of an E15 delta, for the phases
+/// that allocated.
+fn phase_alloc_bytes(moved: &MetricsSnapshot) -> Vec<(String, u64)> {
+    telemetry::mem::PHASE_METRIC_NAMES
+        .iter()
+        .map(|&(alloc_bytes, ..)| (alloc_bytes.to_string(), moved.counter(alloc_bytes)))
+        .filter(|&(_, bytes)| bytes > 0)
+        .collect()
 }
 
 /// E13: open-loop tail latency. Arrivals follow a fixed-rate schedule and
@@ -596,9 +624,7 @@ fn e13_open_loop(profile: Profile, capture_telemetry: bool) -> Vec<BenchRecord> 
                 seed: skyline_bench::BASE_SEED,
                 ..OpenLoopSpec::default()
             };
-            if capture_telemetry {
-                telemetry::reset_metrics();
-            }
+            let before = capture_telemetry.then(observe);
             let mut elapsed: Vec<f64> = Vec::with_capacity(reps);
             let mut best: Option<skyline_serve::OpenLoopReport> = None;
             for _ in 0..reps {
@@ -617,11 +643,7 @@ fn e13_open_loop(profile: Profile, capture_telemetry: bool) -> Vec<BenchRecord> 
             }
             let report = best.expect("at least one repetition ran");
             elapsed.sort_by(|a, b| a.total_cmp(b));
-            let mut metrics = if capture_telemetry {
-                metric_pairs()
-            } else {
-                Vec::new()
-            };
+            let mut metrics = before.as_ref().map_or_else(Vec::new, metric_pairs);
             let mut tails = |name: &str, hist: &skyline_serve::LatencyHistogram| {
                 for (label, p) in PERCENTILE_LABELS {
                     metrics.push((
@@ -844,15 +866,9 @@ fn e11_parallel_scalability(profile: Profile, capture_telemetry: bool) -> Vec<Be
             // efficiency gate grades the resulting ratios by the same
             // hardware width (`available_threads`).
             let cfg = ParallelConfig::with_threads(t).cap_to_hardware();
-            if capture_telemetry {
-                telemetry::reset_metrics();
-            }
+            let before = capture_telemetry.then(observe);
             let stats = time_stats(config.reps, || (config.build)(&ds, &cfg));
-            let metrics = if capture_telemetry {
-                metric_pairs()
-            } else {
-                Vec::new()
-            };
+            let metrics = before.as_ref().map_or_else(Vec::new, metric_pairs);
             if t == 0 {
                 seq_min = stats.min_ms;
             }
@@ -888,6 +904,8 @@ fn e11_parallel_scalability(profile: Profile, capture_telemetry: bool) -> Vec<Be
 /// [`skyline_serve::SkylineServer`] (construction excluded from timing);
 /// every round applies writer updates behind a `refresh()` barrier before
 /// the readers fan out, so the measured loop includes epoch publication.
+/// The reader counts are timed round-robin within each repetition, and a
+/// record's `--telemetry` metrics sum the deltas of its repetitions.
 /// Records use `threads` for the reader count.
 fn e12_serving_throughput(profile: Profile, capture_telemetry: bool) -> Vec<BenchRecord> {
     use skyline_serve::{QueryMix, ServerOptions, SkylineServer, WorkloadSpec};
@@ -911,34 +929,43 @@ fn e12_serving_throughput(profile: Profile, capture_telemetry: bool) -> Vec<Benc
     println!("|---|---|---|---|---|---|---|");
 
     let ds = sweep_dataset(n, Distribution::Independent);
-    let mut records = Vec::new();
     let algorithm = "serve";
-    let mut row = format!("| {algorithm} |");
+    let counts = readers_sweep.len();
+    let mut elapsed: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); counts];
+    let mut totals: Vec<BTreeMap<String, u64>> = vec![BTreeMap::new(); counts];
     let mut last_qps = 0.0;
     let mut last_hit_rate = None;
-    for readers in readers_sweep {
-        let spec = WorkloadSpec {
-            readers,
-            rounds,
-            queries_per_reader: queries_total / (rounds * readers.max(1)),
-            updates_per_round: updates,
-            domain: 10 * n as i64,
-            seed: skyline_bench::BASE_SEED,
-            mix: QueryMix::default(),
-        };
-        if capture_telemetry {
-            telemetry::reset_metrics();
-        }
-        let mut elapsed: Vec<f64> = Vec::with_capacity(reps);
-        for _ in 0..reps {
+    // Reader counts round-robin inside each rep, starting one count later
+    // every rep, so host drift over the sweep lands on every count alike.
+    for rep in 0..reps {
+        for k in 0..counts {
+            let i = (rep + k) % counts;
+            let readers = readers_sweep[i];
+            let spec = WorkloadSpec {
+                readers,
+                rounds,
+                queries_per_reader: queries_total / (rounds * readers.max(1)),
+                updates_per_round: updates,
+                domain: 10 * n as i64,
+                seed: skyline_bench::BASE_SEED,
+                mix: QueryMix::default(),
+            };
+            let before = capture_telemetry.then(observe);
             let options = ServerOptions {
                 with_global: true,
                 parallel: ParallelConfig::sequential(),
                 ..ServerOptions::default()
             };
-            let (server, handles) = SkylineServer::with_dataset(&ds, options);
-            let report = skyline_serve::workload::run(&server, &spec, &handles);
-            elapsed.push(report.elapsed_ms);
+            // The server drops inside the observed interval, as it did
+            // when the reps of one count ran back to back.
+            let report = {
+                let (server, handles) = SkylineServer::with_dataset(&ds, options);
+                skyline_serve::workload::run(&server, &spec, &handles)
+            };
+            elapsed[i].push(report.elapsed_ms);
+            if let Some(before) = &before {
+                accumulate(&mut totals[i], metric_pairs(before));
+            }
             if readers == 4 {
                 last_qps = report.queries_per_sec();
                 let arena = report.cache;
@@ -946,14 +973,13 @@ fn e12_serving_throughput(profile: Profile, capture_telemetry: bool) -> Vec<Benc
                     (arena.lookups() > 0).then(|| arena.hits as f64 / arena.lookups() as f64);
             }
         }
+    }
+    let mut row = format!("| {algorithm} |");
+    let mut records = Vec::new();
+    for ((readers, mut elapsed), metrics) in readers_sweep.into_iter().zip(elapsed).zip(totals) {
         elapsed.sort_by(|a, b| a.total_cmp(b));
         let min_ms = elapsed[0];
         let median_ms = elapsed[elapsed.len() / 2];
-        let metrics = if capture_telemetry {
-            metric_pairs()
-        } else {
-            Vec::new()
-        };
         row.push_str(&format!(" {} |", fmt_ms(min_ms)));
         records.push(BenchRecord {
             experiment: "e12".to_string(),
@@ -966,7 +992,7 @@ fn e12_serving_throughput(profile: Profile, capture_telemetry: bool) -> Vec<Benc
             reps,
             min_ms,
             median_ms,
-            metrics,
+            metrics: metrics.into_iter().collect(),
         });
     }
     row.push_str(&match last_hit_rate {

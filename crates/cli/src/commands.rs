@@ -23,6 +23,10 @@ pub enum CliError {
     Csv(csv::CsvError),
     /// Snapshot container problems.
     Container(container::Error),
+    /// A mode or kind the command does not have (unknown subcommand,
+    /// `mem` mode or `trace build --kind`): a usage error, like
+    /// [`CliError::Args`].
+    Usage(String),
     /// `query` was given an index container (from `save`), which `load`
     /// opens; carries the path.
     IndexContainer(String),
@@ -41,7 +45,18 @@ impl std::fmt::Display for CliError {
                 f,
                 "{path} is an index container (from `skydiag save`); open it with `skydiag load`"
             ),
-            CliError::Other(msg) => write!(f, "{msg}"),
+            CliError::Usage(msg) | CliError::Other(msg) => write!(f, "{msg}"),
+        }
+    }
+}
+
+impl CliError {
+    /// The process exit code: 2 for usage errors (bad arguments, unknown
+    /// subcommands, modes or kinds), 1 for everything else.
+    pub fn exit_code(&self) -> u8 {
+        match self {
+            CliError::Args(_) | CliError::Usage(_) => 2,
+            _ => 1,
         }
     }
 }
@@ -401,11 +416,12 @@ fn trace_parallel_config(args: &Args) -> Result<skyline_core::parallel::Parallel
 
 /// Stops the active recording session, renders the captured spans as a
 /// Chrome trace, validates the rendering before anything touches disk, and
-/// writes the trace (plus the optional metrics snapshot).
+/// writes the trace (plus, optionally, the metrics that moved since the
+/// `before` snapshot).
 fn write_trace_outputs(
     label: &str,
     out_path: &str,
-    metrics_path: Option<&str>,
+    metrics: Option<(&str, &skyline_core::telemetry::MetricsSnapshot)>,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
     let events = skyline_core::telemetry::stop_recording();
@@ -427,8 +443,9 @@ fn write_trace_outputs(
             "note:        no spans captured (was the CLI built without the `telemetry` feature?)"
         )?;
     }
-    if let Some(path) = metrics_path {
-        let snapshot = skyline_core::telemetry::metrics_snapshot();
+    if let Some((path, before)) = metrics {
+        let snapshot =
+            skyline_core::telemetry::delta(before, &skyline_core::telemetry::metrics_snapshot());
         std::fs::write(
             path,
             skyline_bench::json::render_metrics_snapshot(&snapshot),
@@ -450,7 +467,7 @@ fn write_trace_outputs(
 fn cmd_trace_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let engine = parse_engine(args.get_or("engine", "sweeping"))?;
     let kind = args.get_or("kind", "quadrant").to_string();
-    // Resolved before the session starts: the metrics reset and the
+    // Resolved before the session starts: the peak re-seat and the
     // recording session are process-global, so a bad kind must not touch
     // them.
     type Build = fn(&Dataset, QuadrantEngine, &skyline_core::parallel::ParallelConfig) -> usize;
@@ -461,7 +478,7 @@ fn cmd_trace_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         }
         "dynamic" => |ds, _, cfg| DynamicEngine::Scanning.build_with(ds, cfg).heap_bytes(),
         other => {
-            return Err(CliError::Other(format!(
+            return Err(CliError::Usage(format!(
                 "unknown kind {other:?}; expected quadrant, global or dynamic"
             )))
         }
@@ -473,7 +490,8 @@ fn cmd_trace_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let dataset = trace_dataset(args, if kind == "dynamic" { 40 } else { 400 })?;
     args.reject_unknown()?;
 
-    skyline_core::telemetry::reset_metrics();
+    skyline_core::telemetry::mem::reseat_peak();
+    let before = skyline_core::telemetry::metrics_snapshot();
     skyline_core::telemetry::start_recording();
     let arena_bytes = build(&dataset, engine, &cfg);
     // Lands the retained arena size in the metrics snapshot so a later
@@ -489,7 +507,7 @@ fn cmd_trace_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     write_trace_outputs(
         &format!("skydiag trace build ({kind})"),
         &out_path,
-        metrics_path.as_deref(),
+        metrics_path.as_deref().map(|path| (path, &before)),
         out,
     )
 }
@@ -562,7 +580,8 @@ fn cmd_trace_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliErro
         mix: skyline_serve::QueryMix::default(),
     };
 
-    skyline_core::telemetry::reset_metrics();
+    skyline_core::telemetry::mem::reseat_peak();
+    let before = skyline_core::telemetry::metrics_snapshot();
     skyline_core::telemetry::start_recording();
     let (server, handles) = skyline_serve::SkylineServer::with_dataset(&dataset, options);
     if anomaly_path.is_some() {
@@ -584,7 +603,7 @@ fn cmd_trace_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliErro
     write_trace_outputs(
         "skydiag trace serve-bench",
         &out_path,
-        metrics_path.as_deref(),
+        metrics_path.as_deref().map(|path| (path, &before)),
         out,
     )?;
     if let Some(path) = anomaly_path {
@@ -700,19 +719,6 @@ fn metrics_counter(json: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Dense per-bucket counts of a named histogram in a snapshot.
-fn histogram_buckets(snap: &skyline_core::telemetry::MetricsSnapshot, name: &str) -> Vec<u64> {
-    let mut dense = vec![0u64; skyline_core::telemetry::HISTOGRAM_BUCKETS];
-    if let Some(h) = snap.histograms.iter().find(|h| h.name == name) {
-        for &(i, count) in &h.buckets {
-            if let Some(slot) = dense.get_mut(i) {
-                *slot = count;
-            }
-        }
-    }
-    dense
-}
-
 /// `skydiag top [--ticks T] [--interval-ms MS] [--n N | --data ...]
 /// [--readers R] [--queries Q] [--updates U] [--seed S] [--global 0|1]
 /// [--engine ...]`
@@ -759,7 +765,6 @@ pub fn cmd_top(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     )?;
 
     let mut prev = telemetry::metrics_snapshot();
-    let mut prev_mem = telemetry::mem::stats();
     // The last tick's epoch and its snapshot's arena counters: ticks that
     // publish nothing keep reading one snapshot, whose counters accumulate.
     let mut prev_arena: Option<(u64, skyline_serve::CacheStats)> = None;
@@ -781,7 +786,7 @@ pub fn cmd_top(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         let report = skyline_serve::workload::run(&server, &spec, &handles);
         let wall_ms = telemetry::ms_since(tick_start).max(1e-6);
         let snap = telemetry::metrics_snapshot();
-        let mem_now = telemetry::mem::stats();
+        let moved = telemetry::delta(&prev, &snap);
 
         // Per-tick arena hits/fills from the tick report's snapshot
         // counters, saturating like the allocator columns.
@@ -804,31 +809,27 @@ pub fn cmd_top(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
             report.epochs_published,
             arena.hits,
             arena.misses,
-            human_bytes(mem_now.live_bytes as usize),
-            human_bytes(mem_now.peak_bytes as usize),
-            mem_now.allocs.saturating_sub(prev_mem.allocs),
+            human_bytes(moved.counter("mem.live_bytes") as usize),
+            human_bytes(moved.counter("mem.peak_bytes") as usize),
+            moved.counter("mem.allocs"),
         )?;
-        prev_mem = mem_now;
-        for h in &snap.histograms {
-            let before = histogram_buckets(&prev, h.name);
-            let after = histogram_buckets(&snap, h.name);
-            let delta: Vec<u64> = after
-                .iter()
-                .zip(&before)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect();
-            let moved: u64 = delta.iter().sum();
-            if moved == 0 {
+        for h in &moved.histograms {
+            // Only moved buckets survive the delta; the sparkline runs up
+            // to the last of them, so its width tracks the magnitude range
+            // actually exercised.
+            let Some(&(last, _)) = h.buckets.last() else {
                 continue;
+            };
+            let mut dense = vec![0u64; last + 1];
+            for &(i, count) in &h.buckets {
+                dense[i] = count;
             }
-            // Show buckets up to the last active one, so the sparkline's
-            // width tracks the magnitude range actually exercised.
-            let width = delta.iter().rposition(|&c| c > 0).map_or(0, |i| i + 1);
             writeln!(
                 out,
-                "  {:<20} {} (+{moved} samples)",
+                "  {:<20} {} (+{} samples)",
                 h.name,
-                skyline_viz::ascii::sparkline(&delta[..width]),
+                skyline_viz::ascii::sparkline(&dense),
+                dense.iter().sum::<u64>(),
             )?;
         }
         if snap.histograms.is_empty() && tick == 0 {
@@ -957,21 +958,24 @@ pub fn cmd_mem(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     match mode {
         "build" => cmd_mem_build(args, out),
         "serve-bench" => cmd_mem_serve_bench(args, out),
-        other => Err(CliError::Other(format!(
+        other => Err(CliError::Usage(format!(
             "unknown mem mode {other:?}; expected build or serve-bench"
         ))),
     }
 }
 
 /// Allocator totals and per-phase attribution, shared by both `mem`
-/// modes. `before` is the stats reading taken right after
-/// `reset_metrics`, so deltas are the workload's own.
+/// modes, from the [`delta`](skyline_core::telemetry::delta) of the
+/// snapshots taken right before and right after the workload. The peak
+/// is the workload's own because the caller re-seats it
+/// ([`reseat_peak`](skyline_core::telemetry::mem::reseat_peak)) before
+/// taking `before`.
 fn write_mem_tables(
-    before: skyline_core::telemetry::mem::MemStats,
-    after: skyline_core::telemetry::mem::MemStats,
+    before: &skyline_core::telemetry::MetricsSnapshot,
+    after: &skyline_core::telemetry::MetricsSnapshot,
     out: &mut dyn Write,
 ) -> Result<(), CliError> {
-    use skyline_core::telemetry::mem;
+    use skyline_core::telemetry::{self, mem};
     if !mem::enabled() {
         writeln!(
             out,
@@ -979,35 +983,41 @@ fn write_mem_tables(
         )?;
         return Ok(());
     }
+    let moved = telemetry::delta(before, after);
+    let baseline = before.counter("mem.live_bytes");
     writeln!(
         out,
         "allocator:   {} allocated across {} allocations, {} freed",
-        human_bytes(after.alloc_bytes as usize),
-        after.allocs,
-        human_bytes(after.dealloc_bytes as usize),
+        human_bytes(moved.counter("mem.alloc_bytes") as usize),
+        moved.counter("mem.allocs"),
+        human_bytes(moved.counter("mem.dealloc_bytes") as usize),
     )?;
     writeln!(
         out,
         "working set: {} retained (live delta), {} peak over baseline",
-        human_bytes(after.live_bytes.saturating_sub(before.live_bytes) as usize),
-        human_bytes(after.peak_bytes.saturating_sub(before.live_bytes) as usize),
+        human_bytes(moved.counter("mem.live_bytes").saturating_sub(baseline) as usize),
+        human_bytes(moved.counter("mem.peak_bytes").saturating_sub(baseline) as usize),
     )?;
     writeln!(
         out,
         "{:<18} {:>12} {:>12} {:>10}",
         "phase", "alloc", "freed", "allocs"
     )?;
-    for row in mem::phase_stats() {
-        if row.alloc_bytes == 0 && row.dealloc_bytes == 0 {
+    for (phase, (alloc_bytes, dealloc_bytes, allocs, _)) in
+        mem::MemPhase::ALL.iter().zip(mem::PHASE_METRIC_NAMES)
+    {
+        let (alloc_bytes, dealloc_bytes) =
+            (moved.counter(alloc_bytes), moved.counter(dealloc_bytes));
+        if alloc_bytes == 0 && dealloc_bytes == 0 {
             continue;
         }
         writeln!(
             out,
             "{:<18} {:>12} {:>12} {:>10}",
-            row.phase.name(),
-            human_bytes(row.alloc_bytes as usize),
-            human_bytes(row.dealloc_bytes as usize),
-            row.allocs,
+            phase.name(),
+            human_bytes(alloc_bytes as usize),
+            human_bytes(dealloc_bytes as usize),
+            moved.counter(allocs),
         )?;
     }
     Ok(())
@@ -1026,8 +1036,8 @@ fn cmd_mem_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
     let dataset = trace_dataset(args, if with_dynamic { 40 } else { 400 })?;
     args.reject_unknown()?;
 
-    telemetry::reset_metrics();
-    let before = telemetry::mem::stats();
+    telemetry::mem::reseat_peak();
+    let before = telemetry::metrics_snapshot();
     let start_ns = telemetry::now_ns();
     let index = skyline_core::index::SkylineIndex::builder()
         .engine(engine)
@@ -1035,7 +1045,7 @@ fn cmd_mem_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         .with_dynamic(with_dynamic)
         .build_with(&dataset, &cfg);
     let build_ms = telemetry::ms_since(start_ns);
-    let after = telemetry::mem::stats();
+    let after = telemetry::metrics_snapshot();
 
     writeln!(
         out,
@@ -1043,7 +1053,7 @@ fn cmd_mem_build(args: &Args, out: &mut dyn Write) -> Result<(), CliError> {
         dataset.len(),
         engine.name(),
     )?;
-    write_mem_tables(before, after, out)?;
+    write_mem_tables(&before, &after, out)?;
 
     writeln!(out, "retained arenas:")?;
     let mut arena =
@@ -1112,13 +1122,13 @@ fn cmd_mem_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError>
         mix: skyline_serve::QueryMix::default(),
     };
 
-    telemetry::reset_metrics();
-    let before = telemetry::mem::stats();
+    telemetry::mem::reseat_peak();
+    let before = telemetry::metrics_snapshot();
     let start_ns = telemetry::now_ns();
     let (server, handles) = skyline_serve::SkylineServer::with_dataset(&dataset, options);
     let report = skyline_serve::workload::run(&server, &spec, &handles);
     let elapsed_ms = telemetry::ms_since(start_ns);
-    let after = telemetry::mem::stats();
+    let after = telemetry::metrics_snapshot();
 
     writeln!(
         out,
@@ -1128,7 +1138,7 @@ fn cmd_mem_serve_bench(args: &Args, out: &mut dyn Write) -> Result<(), CliError>
         report.queries,
         report.checksum,
     )?;
-    write_mem_tables(before, after, out)?;
+    write_mem_tables(&before, &after, out)?;
     writeln!(
         out,
         "snapshot:    {} retained by the published epoch (index arenas, \
@@ -1214,14 +1224,22 @@ mod tests {
         Ok(String::from_utf8(out).expect("utf8 output"))
     }
 
-    /// The metrics registry, recording sessions and allocator counters are
-    /// process-global, and `trace`/`mem` reset them. Every test that resets
-    /// them or asserts on their deltas holds this lock, so a concurrently
-    /// running test cannot zero the counters between its two readings.
-    fn telemetry_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    /// The two counters the observer tests watch: one only they bump, and
+    /// one every quadrant build bumps. No command zeroes a counter, so
+    /// whatever runs concurrently, neither may read lower later.
+    fn watched_counters() -> (u64, u64) {
+        let snap = skyline_core::telemetry::metrics_snapshot();
+        (
+            snap.counter("test.skydiag.observed"),
+            snap.counter("quadrant.builds"),
+        )
+    }
+
+    fn assert_not_lower(before: (u64, u64), after: (u64, u64), what: &str) {
+        assert!(
+            after.0 >= before.0 && after.1 >= before.1,
+            "{what} lowered a counter: (test, quadrant.builds) {before:?} -> {after:?}"
+        );
     }
 
     #[test]
@@ -1462,10 +1480,12 @@ mod tests {
 
     #[test]
     fn trace_build_and_serve_bench_write_valid_chrome_traces() {
-        let _telemetry = telemetry_lock();
         // One test drives both telemetry modes back to back: recording
         // sessions are process-global, so concurrent tests would stop each
-        // other's sessions.
+        // other's sessions. It also watches that neither trace mode lowers
+        // a counter (`observers_never_lower_a_counter` covers `mem`).
+        skyline_core::counter!("test.skydiag.observed").add(3);
+        let watched = watched_counters();
         let dir = std::env::temp_dir().join("skydiag-test-trace");
         std::fs::create_dir_all(&dir).unwrap();
         let trace_path = dir.join("build-trace.json");
@@ -1486,12 +1506,15 @@ mod tests {
         )
         .unwrap();
         assert!(text.contains("traced quadrant build: n=60"), "{text}");
+        let after_build = watched_counters();
+        assert_not_lower(watched, after_build, "trace build");
         let trace = std::fs::read_to_string(&trace_path).unwrap();
         let summary = skyline_bench::json::validate_chrome_trace(&trace).unwrap();
         if cfg!(feature = "telemetry") {
             assert!(summary.complete_events > 0, "no spans in {trace}");
             let metrics = std::fs::read_to_string(&metrics_path).unwrap();
             assert!(metrics.contains("\"quadrant.builds\""), "{metrics}");
+            assert!(watched.0 >= 3 && after_build.1 > watched.1);
         }
 
         let serve_path = dir.join("serve-trace.json");
@@ -1513,6 +1536,7 @@ mod tests {
         )
         .unwrap();
         assert!(text.contains("checksum:"), "{text}");
+        assert_not_lower(after_build, watched_counters(), "trace serve-bench");
         let trace = std::fs::read_to_string(&serve_path).unwrap();
         let summary = skyline_bench::json::validate_chrome_trace(&trace).unwrap();
         if cfg!(feature = "telemetry") {
@@ -1600,7 +1624,6 @@ mod tests {
 
     #[test]
     fn top_prints_per_tick_metric_deltas() {
-        let _telemetry = telemetry_lock();
         let text = run(
             cmd_top,
             &[
@@ -1637,7 +1660,6 @@ mod tests {
 
     #[test]
     fn mem_build_reports_phases_arenas_and_container_sections() {
-        let _telemetry = telemetry_lock();
         let text = run(cmd_mem, &["build", "--n", "60", "--global", "1"]).unwrap();
         assert!(text.contains("mem build: n=60"), "{text}");
         assert!(text.contains("retained arenas:"), "{text}");
@@ -1656,7 +1678,6 @@ mod tests {
 
     #[test]
     fn mem_serve_bench_reports_snapshot_footprint() {
-        let _telemetry = telemetry_lock();
         let text = run(
             cmd_mem,
             &[
@@ -1674,7 +1695,40 @@ mod tests {
         .unwrap();
         assert!(text.contains("mem serve-bench: n=50"), "{text}");
         assert!(text.contains("snapshot:"), "{text}");
-        assert!(run(cmd_mem, &["warp"]).is_err());
+        assert!(matches!(run(cmd_mem, &["warp"]), Err(CliError::Usage(_))));
+    }
+
+    /// `mem build` and `mem serve-bench` read their interval as a delta;
+    /// before that they zeroed the registry, which dropped this counter
+    /// to 0 under any concurrent reader.
+    #[test]
+    fn observers_never_lower_a_counter() {
+        skyline_core::counter!("test.skydiag.observed").add(5);
+        let mut last = watched_counters();
+        let modes: [&[&str]; 2] = [
+            &["build", "--n", "40", "--global", "0"],
+            &[
+                "serve-bench",
+                "--n",
+                "30",
+                "--readers",
+                "1",
+                "--rounds",
+                "1",
+                "--queries",
+                "5",
+            ],
+        ];
+        for parts in modes {
+            run(cmd_mem, parts).unwrap();
+            let now = watched_counters();
+            assert_not_lower(last, now, &format!("mem {}", parts[0]));
+            last = now;
+        }
+        if cfg!(feature = "telemetry") {
+            assert!(last.0 >= 5, "the bump survives: {last:?}");
+            assert!(last.1 >= 1, "the builds were counted: {last:?}");
+        }
     }
 
     #[test]
@@ -1684,7 +1738,7 @@ mod tests {
                 cmd_trace,
                 &["build", "--kind", "warp", "--out", "/tmp/unused-trace.json"]
             ),
-            Err(CliError::Other(_))
+            Err(CliError::Usage(_))
         ));
     }
 

@@ -1,6 +1,8 @@
 //! `skydiag`: skyline diagrams on the command line.
 //!
-//! See [`commands::USAGE`] or run `skydiag help`.
+//! See [`commands::USAGE`] or run `skydiag help`. Exit codes: 0 on
+//! success, 2 on a usage error (bad arguments, a missing or unknown
+//! subcommand, mode or kind), 1 on any other failure.
 
 mod args;
 mod commands;
@@ -17,7 +19,7 @@ fn main() -> ExitCode {
     let mut raw = std::env::args().skip(1);
     let Some(subcommand) = raw.next() else {
         eprint!("{USAGE}");
-        return ExitCode::FAILURE;
+        return ExitCode::from(2);
     };
     let rest: Vec<String> = raw.collect();
 
@@ -43,7 +45,7 @@ fn main() -> ExitCode {
                     print!("{USAGE}");
                     Ok(())
                 }
-                other => Err(commands::CliError::Other(format!(
+                other => Err(commands::CliError::Usage(format!(
                     "unknown subcommand {other:?}; run `skydiag help`"
                 ))),
             }
@@ -53,7 +55,7 @@ fn main() -> ExitCode {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("skydiag: {e}");
-            ExitCode::FAILURE
+            ExitCode::from(e.exit_code())
         }
     }
 }

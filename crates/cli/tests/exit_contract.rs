@@ -1,6 +1,8 @@
 //! The `skydiag` exit contract, checked on the real binary: a failing
-//! command exits non-zero, prints nothing on stdout, and reports one
-//! `skydiag: ...` line on stderr — a typed error, never a panic.
+//! command exits 2 on a usage error (bad arguments, an unknown
+//! subcommand, mode or kind) and 1 on any other failure, prints nothing on
+//! stdout, and reports one `skydiag: ...` line on stderr — a typed error,
+//! never a panic.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -23,10 +25,16 @@ fn path_str(path: &std::path::Path) -> &str {
     path.to_str().expect("temp paths are UTF-8")
 }
 
-/// Asserts the failure half of the contract and returns stderr.
-fn assert_clean_failure(out: &Output, what: &str) -> String {
+/// Exit code of a usage error.
+const USAGE: i32 = 2;
+/// Exit code of every other failure.
+const FAILURE: i32 = 1;
+
+/// Asserts the failure half of the contract, with exit code `code`, and
+/// returns stderr.
+fn assert_clean_failure(out: &Output, code: i32, what: &str) -> String {
     let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
-    assert!(!out.status.success(), "{what}: exited 0; stderr: {stderr}");
+    assert_eq!(out.status.code(), Some(code), "{what}: stderr: {stderr}");
     assert!(
         out.stdout.is_empty(),
         "{what}: wrote to stdout: {}",
@@ -42,7 +50,7 @@ fn assert_clean_failure(out: &Output, what: &str) -> String {
 fn query_on_a_missing_file_fails_cleanly() {
     let missing = scratch("missing").join("absent.skyd");
     let out = skydiag(&["query", path_str(&missing), "--at", "12,81"]);
-    let stderr = assert_clean_failure(&out, "missing file");
+    let stderr = assert_clean_failure(&out, FAILURE, "missing file");
     assert!(stderr.contains("io error"), "{stderr}");
 }
 
@@ -57,7 +65,7 @@ fn query_on_a_bit_flipped_file_fails_cleanly() {
     std::fs::write(&path, &bytes).unwrap();
 
     let out = skydiag(&["query", path_str(&path), "--at", "12,81"]);
-    let stderr = assert_clean_failure(&out, "bit-flipped file");
+    let stderr = assert_clean_failure(&out, FAILURE, "bit-flipped file");
     assert!(stderr.contains("container error"), "{stderr}");
 }
 
@@ -68,7 +76,7 @@ fn query_on_a_saved_index_points_to_load() {
     assert!(saved.status.success(), "{saved:?}");
 
     let out = skydiag(&["query", path_str(&path), "--at", "12,81"]);
-    let stderr = assert_clean_failure(&out, "index container");
+    let stderr = assert_clean_failure(&out, FAILURE, "index container");
     assert!(stderr.contains("skydiag load"), "{stderr}");
 }
 
@@ -85,7 +93,7 @@ fn build_with_a_zero_band_order_fails_cleanly() {
         "--k",
         "0",
     ]);
-    let stderr = assert_clean_failure(&out, "--k 0");
+    let stderr = assert_clean_failure(&out, USAGE, "--k 0");
     assert!(stderr.contains("--k"), "{stderr}");
     assert!(!path.exists(), "nothing is written");
 }
@@ -94,14 +102,14 @@ fn build_with_a_zero_band_order_fails_cleanly() {
 fn load_on_a_missing_file_fails_cleanly() {
     let missing = scratch("load-missing").join("absent.skd");
     let out = skydiag(&["load", path_str(&missing)]);
-    let stderr = assert_clean_failure(&out, "load of a missing file");
+    let stderr = assert_clean_failure(&out, FAILURE, "load of a missing file");
     assert!(stderr.contains("io error"), "{stderr}");
 }
 
 #[test]
 fn mem_with_an_unknown_mode_fails_cleanly() {
     let out = skydiag(&["mem", "frobnicate"]);
-    let stderr = assert_clean_failure(&out, "unknown mem mode");
+    let stderr = assert_clean_failure(&out, USAGE, "unknown mem mode");
     assert!(stderr.contains("unknown mem mode"), "{stderr}");
 }
 
@@ -116,7 +124,24 @@ fn trace_build_with_an_unknown_kind_fails_cleanly() {
         "--out",
         path_str(&out_path),
     ]);
-    let stderr = assert_clean_failure(&out, "unknown trace kind");
+    let stderr = assert_clean_failure(&out, USAGE, "unknown trace kind");
     assert!(stderr.contains("unknown kind \"warp\""), "{stderr}");
     assert!(!out_path.exists(), "nothing is written");
+}
+
+#[test]
+fn an_unknown_flag_is_a_usage_error() {
+    let out = skydiag(&["gen", "--bogus", "1"]);
+    let stderr = assert_clean_failure(&out, USAGE, "unknown flag");
+    assert!(stderr.contains("unknown flags: --bogus"), "{stderr}");
+}
+
+#[test]
+fn an_unknown_subcommand_is_a_usage_error() {
+    let out = skydiag(&["frobnicate"]);
+    let stderr = assert_clean_failure(&out, USAGE, "unknown subcommand");
+    assert!(
+        stderr.contains("unknown subcommand \"frobnicate\""),
+        "{stderr}"
+    );
 }

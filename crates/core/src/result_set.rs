@@ -531,25 +531,6 @@ pub const fn words_for(n: usize) -> usize {
     }
 }
 
-/// Word-parallel set union: `out = a | b`, one `OR` per word.
-#[inline]
-pub fn union_words(a: &[u64], b: &[u64], out: &mut [u64]) {
-    debug_assert!(a.len() == b.len() && b.len() == out.len());
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x | y;
-    }
-}
-
-/// Word-parallel set subtraction: `out = a & !b`, one `ANDNOT` per word —
-/// the multiset-subtract leg of the memoized recurrences.
-#[inline]
-pub fn subtract_words(a: &[u64], b: &[u64], out: &mut [u64]) {
-    debug_assert!(a.len() == b.len() && b.len() == out.len());
-    for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
-        *o = x & !y;
-    }
-}
-
 /// Word-parallel 4-way union: `out = a | b | c | d` — the global diagram's
 /// Definition 2 union of the four per-quadrant results in one pass.
 #[inline]
@@ -1027,16 +1008,10 @@ mod tests {
         let d = block(words, &[63, 100, 129]);
 
         let mut out = vec![0u64; words];
-        union_words(&r, &u, &mut out);
+        scanning_combine_words(&r, &u, &d, &mut out);
         let mut got = Vec::new();
         decode_words(&out, &mut got);
         let mut want = Vec::new();
-        union_sorted(&ids(&[1, 63, 64, 129]), &ids(&[2, 63, 129]), &mut want);
-        assert_eq!(got, want);
-
-        scanning_combine_words(&r, &u, &d, &mut out);
-        got.clear();
-        decode_words(&out, &mut got);
         scanning_combine(
             &ids(&[1, 63, 64, 129]),
             &ids(&[2, 63, 129]),

@@ -18,8 +18,9 @@
 //!   [`counter!`](crate::counter) / [`histogram!`](crate::histogram) macros,
 //!   which cache the registry lookup in a per-site static so steady-state
 //!   cost is one atomic add. [`metrics_snapshot`] returns everything,
-//!   sorted by name; [`reset_metrics`] zeroes the values (the nodes stay
-//!   registered forever).
+//!   sorted by name. Nothing zeroes a metric: an observer reads an interval
+//!   as the [`delta`] of a snapshot taken before it and one taken after,
+//!   so concurrent observers never disturb each other's readings.
 //! * **Phase spans** — [`span!`](crate::span) opens an RAII scope timer
 //!   carrying a name, the compact per-process thread id, the nesting depth
 //!   on that thread, and an optional `u64` payload (points processed, cells
@@ -167,6 +168,17 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
+impl MetricsSnapshot {
+    /// The value of counter `name`, or 0 when the snapshot has no such
+    /// counter (a metric that never registered has counted nothing).
+    pub fn counter(&self, name: &str) -> u64 {
+        self.counters
+            .iter()
+            .find(|c| c.name == name)
+            .map_or(0, |c| c.value)
+    }
+}
+
 /// A drained flight-recorder dump: the recent span events every thread
 /// contributed after an anomaly trigger fired. Produced by
 /// [`take_anomaly_dump`]; feed `events` straight to the Chrome-trace
@@ -209,12 +221,6 @@ impl CounterCell {
     pub fn get(&self) -> u64 {
         // relaxed-ok: monitoring read; exact only once writers quiesce.
         self.0.load(crate::sync::Ordering::Relaxed)
-    }
-
-    /// Resets to zero.
-    pub fn reset(&self) {
-        // relaxed-ok: caller quiesces writers before resetting stats.
-        self.0.store(0, crate::sync::Ordering::Relaxed);
     }
 }
 
@@ -414,9 +420,9 @@ mod active {
         })
     }
 
-    /// Everything in the registry right now, sorted by name.
+    /// Everything in the registry right now, in registration order.
     pub fn metrics_snapshot() -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot {
+        MetricsSnapshot {
             counters: counters()
                 .map(|c| CounterSnapshot {
                     name: c.name,
@@ -436,24 +442,6 @@ mod active {
                         .collect(),
                 })
                 .collect(),
-        };
-        snap.counters.sort_by_key(|c| c.name);
-        snap.histograms.sort_by_key(|h| h.name);
-        snap
-    }
-
-    /// Zeroes every registered counter and histogram (nodes stay
-    /// registered). Benches call this between configurations so snapshots
-    /// attribute work to the right run.
-    pub fn reset_metrics() {
-        for c in counters() {
-            c.cell.reset();
-        }
-        for h in histograms() {
-            h.sum.reset();
-            for b in &h.buckets {
-                b.reset();
-            }
         }
     }
 
@@ -996,19 +984,58 @@ pub fn metrics_snapshot() -> MetricsSnapshot {
     #[cfg(not(feature = "telemetry"))]
     let mut snap = MetricsSnapshot::default();
     mem::append_metrics(&mut snap);
-    snap.counters.sort_by_key(|c| c.name);
-    snap.histograms.sort_by_key(|h| h.name);
+    // Names are unique, and an unstable sort allocates nothing after the
+    // allocator readings above.
+    snap.counters.sort_unstable_by_key(|c| c.name);
+    snap.histograms.sort_unstable_by_key(|h| h.name);
     snap
 }
 
-/// Zeroes every registered counter and histogram and the memory
-/// observatory's interval counters ([`mem::reset`]: totals, phase table,
-/// size histogram; peak re-seated at live). Benches call this between
-/// configurations so snapshots attribute work to the right run.
-pub fn reset_metrics() {
-    #[cfg(feature = "telemetry")]
-    active::reset_metrics();
-    mem::reset();
+/// What moved between two snapshots: every name in `now`, name-sorted,
+/// with counters and each histogram's `count`, `sum` and buckets reduced
+/// to `now − prev` (a name missing from `prev` counts from 0; a reading
+/// that fell saturates at 0; unmoved buckets are dropped). The allocator
+/// levels `mem.live_bytes` and `mem.peak_bytes` keep `now`'s value.
+pub fn delta(prev: &MetricsSnapshot, now: &MetricsSnapshot) -> MetricsSnapshot {
+    let mut out = MetricsSnapshot {
+        counters: now
+            .counters
+            .iter()
+            .map(|c| CounterSnapshot {
+                name: c.name,
+                value: match c.name {
+                    "mem.live_bytes" | "mem.peak_bytes" => c.value,
+                    name => c.value.saturating_sub(prev.counter(name)),
+                },
+            })
+            .collect(),
+        histograms: now
+            .histograms
+            .iter()
+            .map(|h| {
+                let (count, sum, buckets) = prev
+                    .histograms
+                    .iter()
+                    .find(|p| p.name == h.name)
+                    .map_or((0, 0, &[][..]), |p| (p.count, p.sum, &p.buckets[..]));
+                let before = |i| buckets.iter().find(|b| b.0 == i).map_or(0, |b| b.1);
+                HistogramSnapshot {
+                    name: h.name,
+                    count: h.count.saturating_sub(count),
+                    sum: h.sum.saturating_sub(sum),
+                    buckets: h
+                        .buckets
+                        .iter()
+                        .map(|&(i, n)| (i, n.saturating_sub(before(i))))
+                        .filter(|b| b.1 > 0)
+                        .collect(),
+                }
+            })
+            .collect(),
+    };
+    out.counters.sort_unstable_by_key(|c| c.name);
+    out.histograms.sort_unstable_by_key(|h| h.name);
+    out
 }
 
 #[cfg(all(test, feature = "telemetry"))]
@@ -1042,7 +1069,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_and_reset_zeroes() {
+    fn snapshot_is_sorted_and_delta_isolates_an_interval() {
         counter!("test.telemetry.zz").add(1);
         counter!("test.telemetry.aa").add(1);
         histogram!("test.telemetry.hist").record(5);
@@ -1056,13 +1083,21 @@ mod tests {
             .iter()
             .any(|h| h.name == "test.telemetry.hist" && h.count >= 1));
 
-        // Reset is registry-global, so only assert on our own keys (other
-        // tests in this binary race on theirs). Only the metric registry is
-        // reset: the allocator counters stay cumulative, so the mem tests'
-        // deltas cannot be lowered under them.
-        active::reset_metrics();
-        assert_eq!(register_counter("test.telemetry.zz").get(), 0);
-        assert_eq!(register_histogram("test.telemetry.hist").count(), 0);
+        // Only this test touches these keys, so the interval between two
+        // snapshots holds exactly its own updates, whatever other tests in
+        // this binary do to theirs meanwhile.
+        counter!("test.telemetry.zz").add(4);
+        histogram!("test.telemetry.hist").record(9);
+        let moved = delta(&snap, &metrics_snapshot());
+        assert_eq!(moved.counter("test.telemetry.zz"), 4);
+        assert_eq!(moved.counter("test.telemetry.aa"), 0);
+        let hist = moved
+            .histograms
+            .iter()
+            .find(|h| h.name == "test.telemetry.hist")
+            .expect("delta keeps every histogram of `now`");
+        assert_eq!((hist.count, hist.sum), (1, 9));
+        assert_eq!(hist.buckets, vec![(bucket_index(9), 1)]);
     }
 
     #[test]
@@ -1197,5 +1232,118 @@ mod tests {
             .expect("inner span must be in the flight ring");
         assert_eq!(inner.depth, outer.depth + 1);
         assert!(inner.start_ns >= outer.start_ns);
+    }
+}
+
+#[cfg(test)]
+mod delta_tests {
+    use super::*;
+
+    fn counter(name: &'static str, value: u64) -> CounterSnapshot {
+        CounterSnapshot { name, value }
+    }
+
+    fn histogram(
+        name: &'static str,
+        count: u64,
+        sum: u64,
+        buckets: &[(usize, u64)],
+    ) -> HistogramSnapshot {
+        HistogramSnapshot {
+            name,
+            count,
+            sum,
+            buckets: buckets.to_vec(),
+        }
+    }
+
+    #[test]
+    fn counters_subtract_saturate_and_count_new_names_from_zero() {
+        let prev = MetricsSnapshot {
+            counters: vec![counter("a.fell", 9), counter("b.rose", 3)],
+            histograms: Vec::new(),
+        };
+        let now = MetricsSnapshot {
+            counters: vec![
+                counter("a.fell", 4),
+                counter("b.rose", 10),
+                counter("c.new", 7),
+            ],
+            histograms: Vec::new(),
+        };
+        assert_eq!(
+            delta(&prev, &now).counters,
+            vec![
+                counter("a.fell", 0),
+                counter("b.rose", 7),
+                counter("c.new", 7)
+            ]
+        );
+    }
+
+    #[test]
+    fn output_follows_now_in_sorted_order() {
+        let now = MetricsSnapshot {
+            counters: vec![counter("z", 1), counter("a", 2)],
+            histograms: vec![histogram("y", 0, 0, &[]), histogram("b", 0, 0, &[])],
+        };
+        let moved = delta(&MetricsSnapshot::default(), &now);
+        let names: Vec<_> = moved.counters.iter().map(|c| c.name).collect();
+        assert_eq!(names, ["a", "z"]);
+        let names: Vec<_> = moved.histograms.iter().map(|h| h.name).collect();
+        assert_eq!(names, ["b", "y"]);
+        // A name only `prev` holds is not in the interval at all.
+        let gone = delta(&now, &MetricsSnapshot::default());
+        assert_eq!(gone, MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn histograms_subtract_count_sum_and_each_bucket() {
+        let prev = MetricsSnapshot {
+            counters: Vec::new(),
+            histograms: vec![histogram("h", 5, 40, &[(1, 2), (3, 3)])],
+        };
+        let now = MetricsSnapshot {
+            counters: Vec::new(),
+            histograms: vec![
+                histogram("h", 9, 100, &[(1, 2), (3, 4), (6, 3)]),
+                histogram("new", 2, 6, &[(2, 2)]),
+            ],
+        };
+        let moved = delta(&prev, &now);
+        // Bucket 1 did not move, so it is dropped like any empty bucket.
+        assert_eq!(
+            moved.histograms[0],
+            histogram("h", 4, 60, &[(3, 1), (6, 3)])
+        );
+        assert_eq!(moved.histograms[1], histogram("new", 2, 6, &[(2, 2)]));
+        // A histogram that fell (or a snapshot pair given backwards)
+        // saturates at 0 everywhere.
+        let back = delta(&now, &prev);
+        assert_eq!(back.histograms, vec![histogram("h", 0, 0, &[])]);
+    }
+
+    #[test]
+    fn allocator_levels_keep_the_value_of_now() {
+        let prev = MetricsSnapshot {
+            counters: vec![
+                counter("mem.alloc_bytes", 1_000),
+                counter("mem.live_bytes", 800),
+                counter("mem.peak_bytes", 5_000),
+            ],
+            histograms: Vec::new(),
+        };
+        let now = MetricsSnapshot {
+            counters: vec![
+                counter("mem.alloc_bytes", 1_600),
+                counter("mem.live_bytes", 300),
+                counter("mem.peak_bytes", 4_200),
+            ],
+            histograms: Vec::new(),
+        };
+        let moved = delta(&prev, &now);
+        assert_eq!(moved.counter("mem.alloc_bytes"), 600);
+        assert_eq!(moved.counter("mem.live_bytes"), 300);
+        assert_eq!(moved.counter("mem.peak_bytes"), 4_200);
     }
 }

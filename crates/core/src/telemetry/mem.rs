@@ -8,19 +8,21 @@
 //!
 //! * **Live / peak bytes** — two process-global atomics. `live` is
 //!   `fetch_add`/`fetch_sub` on every alloc/dealloc; `peak` is a relaxed
-//!   `fetch_max` high-water mark that [`reset`] re-seats at the current
-//!   live value (so each bench configuration measures its own peak).
-//! * **Striped totals** — alloc/dealloc byte and event counts, striped
-//!   across [`STRIPE_COUNT`] cache-line-aligned slots indexed by a
-//!   per-thread stripe id, so concurrent workers do not serialize on one
-//!   cache line. Totals are exact once writers quiesce (relaxed adds).
+//!   `fetch_max` high-water mark that [`reseat_peak`] re-seats at the
+//!   current live value (so each measured region reads its own peak).
+//! * **Striped totals** — cumulative alloc/dealloc byte and event counts,
+//!   striped across 16 cache-line-aligned slots indexed by a per-thread
+//!   stripe id, so concurrent workers do not serialize on one cache line.
+//!   Totals are exact once writers quiesce (relaxed adds).
 //! * **Allocation-size histogram** — a fixed array of
 //!   [`HISTOGRAM_BUCKETS`](crate::telemetry::HISTOGRAM_BUCKETS) atomics
 //!   using the registry's log2 `bucket_index` scheme. Surfaced as the `mem.alloc_size` histogram
 //!   in [`metrics_snapshot`](crate::telemetry::metrics_snapshot).
 //! * **Phase attribution** — a thread-local current-phase cell, set by the
 //!   RAII guard from [`phase`]. Every alloc/dealloc charges the active
-//!   [`MemPhase`] on its thread, so `skydiag mem` and `skydiag report` can
+//!   [`MemPhase`] on its thread (the `mem.phase.*` rows of
+//!   [`metrics_snapshot`](crate::telemetry::metrics_snapshot)), so
+//!   `skydiag mem` and `skydiag report` can
 //!   say which build phase owns the bytes. Phases nest by save/restore:
 //!   a `PoolWorker` span opened inside a `QuadrantBuild` span charges the
 //!   worker, and restores the build phase when it drops.
@@ -36,7 +38,8 @@
 //! registry's `Box::leak` registration would likewise recurse. The
 //! registry only sees this module from the *snapshot* side:
 //! `append_metrics` merges the counters into a [`MetricsSnapshot`]
-//! after the fact.
+//! after the fact, and observers read a region as the
+//! [`delta`](crate::telemetry::delta) of two snapshots.
 //!
 //! # Feature gate
 //!
@@ -46,7 +49,7 @@
 //! zeros. Diagram bytes and workload checksums are differentially tested
 //! on/off, exactly like the `telemetry` feature.
 
-use super::{HistogramSnapshot, MetricsSnapshot};
+use super::MetricsSnapshot;
 
 /// Number of attribution phases, including [`MemPhase::Unattributed`].
 pub const PHASE_COUNT: usize = 10;
@@ -119,31 +122,17 @@ impl MemPhase {
 pub struct MemStats {
     /// Bytes currently allocated and not yet freed.
     pub live_bytes: u64,
-    /// High-water mark of `live_bytes` since process start or [`reset`].
+    /// High-water mark of `live_bytes` since process start or the last
+    /// [`reseat_peak`].
     pub peak_bytes: u64,
-    /// Total bytes passed to `alloc`/`alloc_zeroed`/`realloc` since
-    /// [`reset`] (realloc counts the new size).
+    /// Total bytes passed to `alloc`/`alloc_zeroed`/`realloc` (realloc
+    /// counts the new size).
     pub alloc_bytes: u64,
-    /// Total bytes freed since [`reset`] (realloc counts the old size).
+    /// Total bytes freed (realloc counts the old size).
     pub dealloc_bytes: u64,
-    /// Number of allocation events since [`reset`].
+    /// Number of allocation events.
     pub allocs: u64,
-    /// Number of deallocation events since [`reset`].
-    pub deallocs: u64,
-}
-
-/// One phase's attributed allocation traffic since the last [`reset`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PhaseStats {
-    /// The phase this row describes.
-    pub phase: MemPhase,
-    /// Bytes allocated while this phase was active on the allocating thread.
-    pub alloc_bytes: u64,
-    /// Bytes freed while this phase was active on the freeing thread.
-    pub dealloc_bytes: u64,
-    /// Allocation events charged to this phase.
-    pub allocs: u64,
-    /// Deallocation events charged to this phase.
+    /// Number of deallocation events.
     pub deallocs: u64,
 }
 
@@ -248,11 +237,8 @@ pub const PHASE_METRIC_NAMES: [(&str, &str, &str, &str); PHASE_COUNT] = [
 
 #[cfg(feature = "mem-telemetry")]
 mod active {
-    use super::super::{bucket_index, CounterSnapshot, HISTOGRAM_BUCKETS};
-    use super::{
-        HistogramSnapshot, MemPhase, MemStats, MetricsSnapshot, PhaseStats, PHASE_COUNT,
-        PHASE_METRIC_NAMES,
-    };
+    use super::super::{bucket_index, CounterSnapshot, HistogramSnapshot, HISTOGRAM_BUCKETS};
+    use super::{MemPhase, MemStats, MetricsSnapshot, PHASE_COUNT, PHASE_METRIC_NAMES};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::cell::Cell;
     // The one sanctioned raw-atomic import in lib code: the sync facade's
@@ -265,11 +251,11 @@ mod active {
     /// more stripes than typical worker counts keeps the common case
     /// contention-free without burning memory (each stripe is one table
     /// of `PHASE_COUNT` slots, cache-line aligned).
-    pub const STRIPE_COUNT: usize = 16;
+    const STRIPE_COUNT: usize = 16;
 
     /// Bytes currently live (allocated minus freed) across the process.
     static LIVE: AtomicU64 = AtomicU64::new(0);
-    /// High-water mark of [`LIVE`]; re-seated to `LIVE` by [`reset`].
+    /// High-water mark of [`LIVE`]; re-seated to `LIVE` by [`reseat_peak`].
     static PEAK: AtomicU64 = AtomicU64::new(0);
     /// Round-robin source for thread stripe ids.
     static NEXT_STRIPE: AtomicUsize = AtomicUsize::new(0);
@@ -452,7 +438,7 @@ mod active {
 
     /// Makes `p` the active attribution phase on the current thread until
     /// the returned guard drops. Allocations (and frees) performed by this
-    /// thread meanwhile are charged to `p` in [`phase_stats`].
+    /// thread meanwhile are charged to `p` (the `mem.phase.*` rows).
     #[must_use = "attribution stops when the guard drops"]
     pub fn phase(p: MemPhase) -> PhaseGuard {
         let prev = CURRENT_PHASE
@@ -483,91 +469,71 @@ mod active {
         stats
     }
 
-    /// Per-phase attributed traffic, in [`MemPhase::ALL`] order (stripes
-    /// summed per phase).
-    pub fn phase_stats() -> Vec<PhaseStats> {
-        MemPhase::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| {
-                let mut row = PhaseStats {
-                    phase: p,
-                    alloc_bytes: 0,
-                    dealloc_bytes: 0,
-                    allocs: 0,
-                    deallocs: 0,
-                };
-                for stripe in &STRIPES {
-                    let slot = &stripe.phases[i];
-                    row.alloc_bytes += read(&slot.alloc_bytes);
-                    row.dealloc_bytes += read(&slot.dealloc_bytes);
-                    row.allocs += read(&slot.allocs);
-                    row.deallocs += read(&slot.deallocs);
-                }
-                row
-            })
-            .collect()
-    }
-
-    /// The allocation-size histogram as a registry-shaped snapshot named
-    /// `mem.alloc_size` (`sum` is total allocated bytes, so `sum / count`
-    /// is the mean allocation size).
-    pub fn size_histogram() -> HistogramSnapshot {
+    /// Merges the allocator counters into a registry snapshot: `mem.*`
+    /// counters (live/peak/totals plus per-phase attribution, skipping
+    /// all-zero phases) and the `mem.alloc_size` histogram (`sum` is total
+    /// allocated bytes, so `sum / count` is the mean allocation size). The
+    /// caller re-sorts; see [`crate::telemetry::metrics_snapshot`].
+    pub fn append_metrics(snap: &mut MetricsSnapshot) {
+        // Allocate first and read last, so a snapshot taken before a
+        // region holds none of its own bookkeeping in the region.
+        snap.counters.reserve(6 + 4 * PHASE_COUNT);
+        snap.histograms.reserve(1);
+        let mut buckets = Vec::with_capacity(HISTOGRAM_BUCKETS);
         let totals = stats();
-        HistogramSnapshot {
+        let mut push = |name: &'static str, value: u64| {
+            snap.counters.push(CounterSnapshot { name, value });
+        };
+        push("mem.live_bytes", totals.live_bytes);
+        push("mem.peak_bytes", totals.peak_bytes);
+        push("mem.alloc_bytes", totals.alloc_bytes);
+        push("mem.dealloc_bytes", totals.dealloc_bytes);
+        push("mem.allocs", totals.allocs);
+        push("mem.deallocs", totals.deallocs);
+        for (i, (alloc_bytes, dealloc_bytes, allocs, deallocs)) in
+            PHASE_METRIC_NAMES.into_iter().enumerate()
+        {
+            let sum = |field: fn(&PhaseSlot) -> &AtomicU64| -> u64 {
+                STRIPES.iter().map(|s| read(field(&s.phases[i]))).sum()
+            };
+            let row = [
+                (alloc_bytes, sum(|p| &p.alloc_bytes)),
+                (dealloc_bytes, sum(|p| &p.dealloc_bytes)),
+                (allocs, sum(|p| &p.allocs)),
+                (deallocs, sum(|p| &p.deallocs)),
+            ];
+            if row.iter().any(|&(_, value)| value > 0) {
+                row.into_iter().for_each(|(name, value)| push(name, value));
+            }
+        }
+        buckets.extend((0..HISTOGRAM_BUCKETS).filter_map(|i| {
+            let count = read(&SIZE_HIST[i]);
+            (count > 0).then_some((i, count))
+        }));
+        snap.histograms.push(HistogramSnapshot {
             name: "mem.alloc_size",
             count: totals.allocs,
             sum: totals.alloc_bytes,
-            buckets: (0..HISTOGRAM_BUCKETS)
-                .filter_map(|i| {
-                    let count = read(&SIZE_HIST[i]);
-                    (count > 0).then_some((i, count))
-                })
-                .collect(),
-        }
+            buckets,
+        });
     }
 
-    /// Merges the allocator counters into a registry snapshot: `mem.*`
-    /// counters (live/peak/totals plus per-phase attribution, skipping
-    /// all-zero phases) and the `mem.alloc_size` histogram. The caller
-    /// re-sorts; see [`crate::telemetry::metrics_snapshot`].
-    pub fn append_metrics(snap: &mut MetricsSnapshot) {
-        let totals = stats();
-        let push = |counters: &mut Vec<CounterSnapshot>, name: &'static str, value: u64| {
-            counters.push(CounterSnapshot { name, value });
-        };
-        push(&mut snap.counters, "mem.live_bytes", totals.live_bytes);
-        push(&mut snap.counters, "mem.peak_bytes", totals.peak_bytes);
-        push(&mut snap.counters, "mem.alloc_bytes", totals.alloc_bytes);
-        push(
-            &mut snap.counters,
-            "mem.dealloc_bytes",
-            totals.dealloc_bytes,
-        );
-        push(&mut snap.counters, "mem.allocs", totals.allocs);
-        push(&mut snap.counters, "mem.deallocs", totals.deallocs);
-        for (i, row) in phase_stats().into_iter().enumerate() {
-            if row.alloc_bytes == 0
-                && row.dealloc_bytes == 0
-                && row.allocs == 0
-                && row.deallocs == 0
-            {
-                continue;
-            }
-            let (alloc_bytes, dealloc_bytes, allocs, deallocs) = PHASE_METRIC_NAMES[i];
-            push(&mut snap.counters, alloc_bytes, row.alloc_bytes);
-            push(&mut snap.counters, dealloc_bytes, row.dealloc_bytes);
-            push(&mut snap.counters, allocs, row.allocs);
-            push(&mut snap.counters, deallocs, row.deallocs);
-        }
-        snap.histograms.push(size_histogram());
+    /// Re-seats the high-water mark at the current live value, so the next
+    /// `peak_bytes` reading is the peak of the region that starts now. It
+    /// zeroes no counter: the peak is the one reading no
+    /// [`delta`](crate::telemetry::delta) of two snapshots can express.
+    pub fn reseat_peak() {
+        // relaxed-ok: high-water re-seat; the next fetch_max re-establishes
+        // the peak >= live invariant.
+        PEAK.store(read(&LIVE), Ordering::Relaxed);
     }
 
-    /// Zeroes the interval counters (totals, phase table, histogram) and
-    /// re-seats the peak at the current live value. `live_bytes` itself is
-    /// untouched — it tracks real outstanding memory, not an interval.
-    /// Benches call this between configurations, mirroring
-    /// [`crate::telemetry::reset_metrics`].
+    /// Zeroes the totals (churn counters, phase table, size histogram),
+    /// then [`reseat_peak`]. `live_bytes` is untouched — it tracks real
+    /// outstanding memory, not an interval. Its one caller is perfbench's
+    /// `measure`; every other observer takes a
+    /// [`delta`](crate::telemetry::delta). The benchmark revision of
+    /// ROADMAP item 3 retires it.
     pub fn reset() {
         for stripe in &STRIPES {
             for slot in &stripe.phases {
@@ -580,24 +546,19 @@ mod active {
         for bucket in &SIZE_HIST {
             zero(bucket);
         }
-        // relaxed-ok: high-water re-seat; the next fetch_max re-establishes
-        // the peak >= live invariant.
-        PEAK.store(read(&LIVE), Ordering::Relaxed);
+        reseat_peak();
     }
 }
 
 #[cfg(feature = "mem-telemetry")]
-pub use active::{phase, phase_stats, reset, size_histogram, stats, PhaseGuard, STRIPE_COUNT};
+pub use active::{phase, reseat_peak, reset, stats, PhaseGuard};
 
 #[cfg(feature = "mem-telemetry")]
 pub(crate) use active::append_metrics;
 
 #[cfg(not(feature = "mem-telemetry"))]
 mod noop {
-    use super::{HistogramSnapshot, MemPhase, MemStats, MetricsSnapshot, PhaseStats, PHASE_COUNT};
-
-    /// Feature-off stripe count (kept so docs and tests can reference it).
-    pub const STRIPE_COUNT: usize = 0;
+    use super::{MemPhase, MemStats, MetricsSnapshot};
 
     /// Feature-off phase guard: zero-sized, no `Drop`, fully free.
     #[derive(Debug)]
@@ -615,40 +576,18 @@ mod noop {
         MemStats::default()
     }
 
-    /// All-zero rows, in [`MemPhase::ALL`] order.
-    pub fn phase_stats() -> Vec<PhaseStats> {
-        let _ = PHASE_COUNT;
-        MemPhase::ALL
-            .iter()
-            .map(|&p| PhaseStats {
-                phase: p,
-                alloc_bytes: 0,
-                dealloc_bytes: 0,
-                allocs: 0,
-                deallocs: 0,
-            })
-            .collect()
-    }
-
-    /// An empty `mem.alloc_size` histogram.
-    pub fn size_histogram() -> HistogramSnapshot {
-        HistogramSnapshot {
-            name: "mem.alloc_size",
-            count: 0,
-            sum: 0,
-            buckets: Vec::new(),
-        }
-    }
-
     /// No-op.
     pub(crate) fn append_metrics(_snap: &mut MetricsSnapshot) {}
+
+    /// No-op.
+    pub fn reseat_peak() {}
 
     /// No-op.
     pub fn reset() {}
 }
 
 #[cfg(not(feature = "mem-telemetry"))]
-pub use noop::{phase, phase_stats, reset, size_histogram, stats, PhaseGuard, STRIPE_COUNT};
+pub use noop::{phase, reseat_peak, reset, stats, PhaseGuard};
 
 #[cfg(not(feature = "mem-telemetry"))]
 pub(crate) use noop::append_metrics;
@@ -656,6 +595,7 @@ pub(crate) use noop::append_metrics;
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::metrics_snapshot;
 
     #[test]
     fn phase_all_matches_discriminants() {
@@ -716,7 +656,7 @@ mod tests {
     #[cfg(feature = "mem-telemetry")]
     #[test]
     fn phase_guard_attributes_and_restores() {
-        let base: Vec<_> = phase_stats();
+        let base = metrics_snapshot();
         let outer = phase(MemPhase::ContainerEncode);
         let buf = {
             let _inner = phase(MemPhase::ContainerDecode);
@@ -725,18 +665,14 @@ mod tests {
         // Inner guard dropped: we are back on ContainerEncode.
         let buf2 = vec![0u8; 8192];
         drop(outer);
-        let now: Vec<_> = phase_stats();
-        let delta = |p: MemPhase| {
-            now[p as usize]
-                .alloc_bytes
-                .saturating_sub(base[p as usize].alloc_bytes)
-        };
+        let moved = crate::telemetry::delta(&base, &metrics_snapshot());
+        let alloc_bytes = |p: MemPhase| moved.counter(PHASE_METRIC_NAMES[p as usize].0);
         assert!(
-            delta(MemPhase::ContainerDecode) >= 4096,
+            alloc_bytes(MemPhase::ContainerDecode) >= 4096,
             "inner phase must be charged for the inner allocation"
         );
         assert!(
-            delta(MemPhase::ContainerEncode) >= 8192,
+            alloc_bytes(MemPhase::ContainerEncode) >= 8192,
             "outer phase must resume after the inner guard drops"
         );
         drop((buf, buf2));
@@ -745,20 +681,21 @@ mod tests {
     #[cfg(feature = "mem-telemetry")]
     #[test]
     fn size_histogram_tracks_allocations() {
-        let before = size_histogram();
+        let before = metrics_snapshot();
         let bucket = super::super::bucket_index(3000);
         let buf = vec![0u8; 3000];
-        let after = size_histogram();
-        let count_at = |h: &HistogramSnapshot| {
-            h.buckets
-                .iter()
-                .find(|(i, _)| *i == bucket)
-                .map(|(_, c)| *c)
-                .unwrap_or(0)
-        };
-        assert!(count_at(&after) > count_at(&before));
-        assert!(after.count > before.count);
-        assert!(after.sum >= before.sum + 3000);
+        let moved = crate::telemetry::delta(&before, &metrics_snapshot());
+        let hist = moved
+            .histograms
+            .iter()
+            .find(|h| h.name == "mem.alloc_size")
+            .expect("the snapshot carries the allocation-size histogram");
+        assert!(hist
+            .buckets
+            .iter()
+            .any(|&(i, count)| i == bucket && count > 0));
+        assert!(hist.count > 0);
+        assert!(hist.sum >= 3000);
         drop(buf);
     }
 
@@ -767,7 +704,10 @@ mod tests {
     fn feature_off_is_all_zeros() {
         let buf = vec![0u8; 4096];
         assert_eq!(stats(), MemStats::default());
-        assert!(size_histogram().buckets.is_empty());
+        assert!(!metrics_snapshot()
+            .histograms
+            .iter()
+            .any(|h| h.name == "mem.alloc_size"));
         assert_eq!(std::mem::size_of::<PhaseGuard>(), 0);
         let guard = phase(MemPhase::QuadrantBuild);
         drop(guard);

@@ -11,8 +11,8 @@ use skyline_core::geometry::{Dataset, PointId};
 use skyline_core::parallel::ParallelConfig;
 use skyline_core::quadrant::QuadrantEngine;
 use skyline_core::result_set::{
-    decode_words, encode_results, scanning_combine, scanning_combine_words, subtract_words,
-    union_sorted, union_words, words_for, BitsetInterner, ResultInterner,
+    decode_words, encode_results, scanning_combine, scanning_combine_words, words_for,
+    BitsetInterner, ResultInterner,
 };
 
 /// Encodes a sorted id list as a bitset block of the given stride.
@@ -48,30 +48,6 @@ fn boundary_n() -> impl Strategy<Value = u32> {
 }
 
 proptest! {
-    #[test]
-    fn union_words_matches_union_sorted(
-        (n, a, b) in boundary_n().prop_flat_map(|n| (Just(n), arb_ids(n), arb_ids(n)))
-    ) {
-        let words = words_for(n as usize);
-        let mut out = vec![0u64; words];
-        union_words(&to_block(&a, words), &to_block(&b, words), &mut out);
-        let mut expected = Vec::new();
-        union_sorted(&a, &b, &mut expected);
-        prop_assert_eq!(to_ids(&out), expected);
-    }
-
-    #[test]
-    fn subtract_words_matches_sorted_difference(
-        (n, a, b) in boundary_n().prop_flat_map(|n| (Just(n), arb_ids(n), arb_ids(n)))
-    ) {
-        let words = words_for(n as usize);
-        let mut out = vec![0u64; words];
-        subtract_words(&to_block(&a, words), &to_block(&b, words), &mut out);
-        let expected: Vec<PointId> =
-            a.iter().copied().filter(|id| b.binary_search(id).is_err()).collect();
-        prop_assert_eq!(to_ids(&out), expected);
-    }
-
     #[test]
     fn scanning_combine_words_matches_run_collapsed_recurrence(
         (n, right, up, diag) in boundary_n()
@@ -130,12 +106,10 @@ proptest! {
         let full_block = to_block(&full, words);
         let empty_block = vec![0u64; words];
         let mut out = vec![0u64; words];
-        union_words(&full_block, &empty_block, &mut out);
-        prop_assert_eq!(to_ids(&out), full.clone());
-        subtract_words(&full_block, &full_block, &mut out);
-        prop_assert_eq!(to_ids(&out), Vec::<PointId>::new());
         scanning_combine_words(&full_block, &full_block, &full_block, &mut out);
         prop_assert_eq!(to_ids(&out), full);
+        scanning_combine_words(&empty_block, &empty_block, &empty_block, &mut out);
+        prop_assert_eq!(to_ids(&out), Vec::<PointId>::new());
     }
 }
 

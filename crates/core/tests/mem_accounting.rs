@@ -78,7 +78,6 @@ proptest! {
         }
         let _guard = session_lock();
         let ds = lcg_dataset(n, 4 * n as u64, seed);
-        telemetry::reset_metrics();
         let before = mem::stats();
         let diagram = QuadrantEngine::Sweeping.build(&ds);
         let after = mem::stats();
@@ -117,35 +116,25 @@ fn parallel_build_charges_workers_not_stitch() {
     // even on a 1-core host, which is the point — attribution must follow
     // the thread, not the host width.
     let cfg = ParallelConfig::with_threads(4);
-    telemetry::reset_metrics();
+    let before = telemetry::metrics_snapshot();
     let _diagram = QuadrantEngine::Sweeping.build_with(&ds, &cfg);
-    let phases = mem::phase_stats();
-    let by_phase = |p: mem::MemPhase| {
-        *phases
-            .iter()
-            .find(|row| row.phase == p)
-            .expect("phase_stats covers every phase")
-    };
-    let worker = by_phase(mem::MemPhase::PoolWorker);
-    let stitch = by_phase(mem::MemPhase::PoolStitch);
-    let build = by_phase(mem::MemPhase::QuadrantBuild);
+    let moved = telemetry::delta(&before, &telemetry::metrics_snapshot());
+    let alloc_bytes = |p: mem::MemPhase| moved.counter(mem::PHASE_METRIC_NAMES[p as usize].0);
+    let worker = alloc_bytes(mem::MemPhase::PoolWorker);
+    let stitch = alloc_bytes(mem::MemPhase::PoolStitch);
+    let build = alloc_bytes(mem::MemPhase::QuadrantBuild);
     // The row-band compute happens on worker threads under the worker
     // span: it must carry allocations, and more than the sequential merge.
+    assert!(worker > 0, "workers allocated nothing: {moved:?}");
     assert!(
-        worker.alloc_bytes > 0,
-        "workers allocated nothing: {phases:?}"
-    );
-    assert!(
-        worker.alloc_bytes > stitch.alloc_bytes,
-        "stitch ({} B) outweighs workers ({} B): worker allocations are \
-         landing in the wrong phase",
-        stitch.alloc_bytes,
-        worker.alloc_bytes
+        worker > stitch,
+        "stitch ({stitch} B) outweighs workers ({worker} B): worker allocations are \
+         landing in the wrong phase"
     );
     // The calling thread keeps its own build phase for the non-pool parts.
     assert!(
-        build.alloc_bytes > 0,
-        "the calling thread's build phase recorded nothing: {phases:?}"
+        build > 0,
+        "the calling thread's build phase recorded nothing: {moved:?}"
     );
 }
 
@@ -187,35 +176,36 @@ fn metrics_snapshot_carries_the_mem_rows_and_reset_reseats_peak() {
         return;
     }
     let _guard = session_lock();
-    telemetry::reset_metrics();
+    let before = telemetry::metrics_snapshot();
     let ds = lcg_dataset(60, 240, 5);
     let _diagram = QuadrantEngine::Sweeping.build(&ds);
     let snap = telemetry::metrics_snapshot();
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|c| c.name == name)
-            .map(|c| c.value)
-    };
     for key in [
         "mem.live_bytes",
         "mem.peak_bytes",
         "mem.alloc_bytes",
         "mem.allocs",
     ] {
-        assert!(counter(key).is_some(), "missing {key} in snapshot");
+        assert!(
+            snap.counters.iter().any(|c| c.name == key),
+            "missing {key} in snapshot"
+        );
     }
+    let moved = telemetry::delta(&before, &snap);
     assert!(
-        counter("mem.phase.quadrant_build.alloc_bytes").unwrap_or(0) > 0,
-        "build phase attribution missing from the snapshot"
+        moved.counter("mem.phase.quadrant_build.alloc_bytes") > 0,
+        "the build's phase attribution is missing from the snapshot delta"
     );
     assert!(
-        snap.histograms.iter().any(|h| h.name == "mem.alloc_size"),
-        "allocation-size histogram missing from the snapshot"
+        moved
+            .histograms
+            .iter()
+            .any(|h| h.name == "mem.alloc_size" && h.count > 0),
+        "allocation-size histogram missing from the snapshot delta"
     );
-    // Reset zeroes the churn counters and re-seats the peak at the
-    // current live level, so the next measured region starts clean.
-    telemetry::reset_metrics();
+    // `mem::reset`, as perfbench's `measure` runs it: the churn counters
+    // read zero and the peak is re-seated at the current live level.
+    mem::reset();
     let stats = mem::stats();
     assert_eq!(stats.alloc_bytes, 0);
     assert_eq!(stats.allocs, 0);

@@ -12,7 +12,8 @@
 //!   session active are identical (`same_results`) to diagrams built with
 //!   telemetry idle, at sequential and parallel thread counts.
 //! * **Metrics are session-independent** — counters accumulate with no
-//!   recording session active, and reset only via `reset_metrics`.
+//!   recording session active, and an interval is read as the `delta` of
+//!   two snapshots; nothing zeroes them.
 //!
 //! Recording sessions and the metrics registry are process-global, so every
 //! test that touches them serializes on [`session_lock`].
@@ -189,40 +190,43 @@ fn diagrams_are_identical_with_recording_on_and_off() {
     }
 }
 
-/// Counters accumulate without any recording session and reset on demand;
-/// with the feature off the registry stays empty.
+/// Counters accumulate without any recording session, and each build's
+/// interval is the delta of two snapshots; with the feature off the
+/// registry stays empty.
 #[test]
 fn metrics_accumulate_independently_of_recording_sessions() {
     let _guard = session_lock();
-    telemetry::reset_metrics();
     let ds = lcg_dataset(30, 100, 5);
     assert!(!telemetry::recording());
+    let first = telemetry::metrics_snapshot();
     let _ = QuadrantEngine::Sweeping.build_with(&ds, &ParallelConfig::sequential());
     let snapshot = telemetry::metrics_snapshot();
     if cfg!(feature = "telemetry") {
-        let builds = snapshot
-            .counters
-            .iter()
-            .find(|c| c.name == "quadrant.builds")
-            .expect("the sweeping build must bump its engine counter");
-        assert!(builds.value >= 1);
+        assert!(
+            snapshot.counter("quadrant.builds") >= 1,
+            "the sweeping build must bump its engine counter"
+        );
         // Snapshots are name-sorted so exporters emit stable output.
         let names: Vec<&str> = snapshot.counters.iter().map(|c| c.name).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(names, sorted);
-        telemetry::reset_metrics();
-        let cleared = telemetry::metrics_snapshot();
-        // The mem.* rows are exempt: live/peak are gauges of real
-        // outstanding memory (reset re-seats, never zeroes them), and
-        // assembling this very snapshot allocates, so the churn rows can
-        // tick between the reset and the read. Reset semantics for the
-        // allocator counters are pinned in tests/mem_accounting.rs.
-        assert!(cleared
-            .counters
-            .iter()
-            .filter(|c| !c.name.starts_with("mem."))
-            .all(|c| c.value == 0));
+        // A second build's delta holds its own quadrant build, on top of a
+        // registry that still carries the first one: nothing was zeroed.
+        let _ = QuadrantEngine::Sweeping.build_with(&ds, &ParallelConfig::sequential());
+        let after = telemetry::metrics_snapshot();
+        let second = telemetry::delta(&snapshot, &after);
+        assert_eq!(second.counter("quadrant.builds"), 1);
+        assert_eq!(
+            telemetry::delta(&first, &after).counter("quadrant.builds"),
+            2
+        );
+        assert!(after.counter("quadrant.builds") >= 2);
+        let names: Vec<&str> = second.counters.iter().map(|c| c.name).collect();
+        assert_eq!(
+            names,
+            after.counters.iter().map(|c| c.name).collect::<Vec<_>>()
+        );
     } else {
         // With `telemetry` off the registry is empty; the independent
         // `mem-telemetry` feature may still contribute its mem.* rows
